@@ -508,7 +508,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, *, default_format: str = 
         "--tolerance",
         type=float,
         default=DEFAULT_QUAD_TOLERANCE,
-        help="relative quadrature tolerance",
+        help="relative error tolerance of the stage-one Gauss-Legendre quadrature",
     )
     parser.add_argument("--out", help="optional output file")
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
@@ -533,7 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--epsilon", type=float, default=1.0)
     p.add_argument(
-        "--tolerance", type=float, default=DEFAULT_QUAD_TOLERANCE, help="relative quadrature tolerance"
+        "--tolerance",
+        type=float,
+        default=DEFAULT_QUAD_TOLERANCE,
+        help="relative error tolerance of the stage-one Gauss-Legendre quadrature",
     )
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")

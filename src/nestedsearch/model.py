@@ -172,7 +172,8 @@ def optimize_x(
     """Deterministic argmin of the composed log2 run time over the split x.
 
     A coarse grid over `bounds` picks a bracket (ties resolved toward 0.5),
-    then golden-section refinement narrows it to width xtol.  Returns
+    then golden-section refinement narrows it to width xtol; the refined
+    split is kept only if it costs no more than the best grid point.  Returns
     (x_opt, log2 total time at x_opt); a flat objective (alpha = 0) resolves
     to x = 0.5.
     """
@@ -209,7 +210,12 @@ def optimize_x(
             d = a + invphi * (b - a)
             fd = objective(d)
     x_opt = 0.5 * (a + b)
-    return x_opt, objective(x_opt)
+    value = objective(x_opt)
+    # the iteration ceiling makes the objective a staircase, on which golden
+    # section can settle on a split that costs more than the grid's best
+    if value > vals[best]:
+        return float(xs[best]), vals[best]
+    return x_opt, value
 
 
 def fit_scaling(

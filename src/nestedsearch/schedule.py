@@ -1,6 +1,6 @@
 """Minimal run times for the two search stages.
 
-The first-stage time is the quadrature
+The first-stage time is the integral
 
     T1 = (1/eps) * integral_0^1 sqrt( sum_i xi_i^2 / w_i(s)^6 ) ds
 
@@ -10,9 +10,28 @@ local adiabatic schedule dt/ds = sqrt( sum_i xi_i^2 / w_i(s)^6 ) / eps of
 Roland and Cerf (PRA 65, 042308 (2002)), which slows down where the gaps are
 small; a linear sweep to the same accuracy would need a time of order N/M
 rather than sqrt(N/M).  `dynamics` runs the local schedule wherever it spends
-or checks T1.  The integrand is sharply peaked at s = 1/2 with width of
-order sqrt(M/N), so the adaptive quadrature is forced to split there.  The
-second stage repeats a fixed-cost step ceil(sqrt(prod_i M_i / M_joint))
+or checks T1.
+
+In s the integrand peaks at s = 1/2 with a width of order sqrt(r_min), the
+smallest marked fraction, which doubles cannot resolve at tiny ratios.  It
+depends on s only through u = |1 - 2s|, with w_i^2 = r_i + (1 - r_i) u^2, and
+in the stretched variable v, u = sqrt(r_min) sinh v, it becomes
+
+    T1 = r_min^(-1/2) / eps * integral_0^V g(v) dv,   V = asinh(r_min^(-1/2)),
+    g(v) = t sqrt( sum_i kappa_i^2 (1 - r_i) / (c_i + (1 - c_i) t)^3 ),
+
+with t = sech^2 v, kappa_i = r_min / r_i and c_i = kappa_i (1 - r_i).  g has
+no peak to resolve at any ratio (one subsystem gives g = sech^2 v as r -> 0),
+and every coefficient lies in [0, 1], so nothing overflows or underflows:
+the ratios enter only through log2_solutions - log2_dimension, and 2^-1500 is
+as exact as 2^-10.  V is capped at 45, past which less than e^-45 of T1
+remains.  A fixed 16-point Gauss-Legendre rule on panels half a unit of v
+wide integrates g.  The 8-point rule on the same panels is already exact to
+rounding there, so the difference of the two is an error estimate that
+tracks the actual error instead of overstating it by orders of magnitude,
+and any tolerance above about 1e-14 is met without refining.
+
+The second stage repeats a fixed-cost step ceil(sqrt(prod_i M_i / M_joint))
 times, giving a total of T1 * iterations.
 """
 
@@ -22,9 +41,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .spectral import SubsystemShape, _exp2, transition_strength
+from .spectral import SubsystemShape, _exp2, _exp2_or_inf
 
 __all__ = [
     "AccuracyTarget",
@@ -39,7 +57,22 @@ __all__ = [
 
 DEFAULT_QUAD_TOLERANCE = 1e-8
 
-_PEAK_GRID_POINTS = 2001
+
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the `order`-point Gauss-Legendre rule on [0, 1]."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+_GAUSS_16 = _gauss_legendre(16)
+_GAUSS_8 = _gauss_legendre(8)
+_PANEL_WIDTH = 0.5
+# Term i contributes at most sqrt(r_min / r_i) of T1, and only a term with
+# sqrt(r_min / r_i) below about e^-45 still rises past v = 45, so the part of
+# the integral beyond it is below e^-45 of the whole.
+_V_MAX = 45.0
+# panel halvings allowed, after the first pass, to meet the tolerance
+_MAX_REFINEMENTS = 8
 
 
 @dataclass(frozen=True)
@@ -54,14 +87,15 @@ class AccuracyTarget:
             raise ValueError(f"epsilon must lie in (0, 1], got {self.epsilon}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimeBudget:
     """Cost breakdown of one nested run.
 
     total_time is exactly stage1_time * iterations.  `degenerate` marks the
     no-search-needed case (every subsystem fully marked, stage1_time = 0);
     `clamped` is carried along when the inputs came from a clamped model
-    estimate.
+    estimate.  integrand_peak_s is always 0.5: every term xi_i^2 / w_i^6 of
+    the stage-one integrand is largest where the gaps close, at s = 1/2.
     """
 
     stage1_time: float
@@ -73,35 +107,70 @@ class TimeBudget:
     clamped: bool = False
 
 
-def _terms(shapes: list[SubsystemShape]) -> list[tuple[float, float]]:
-    """(xi^2, ratio) per subsystem, sorted so that permutations of the input
-    produce bit-identical quadratures."""
-    out = []
-    for shape in shapes:
-        xi = transition_strength(shape)
-        if xi > 0.0:
-            out.append((xi * xi, shape.ratio))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+_StretchedTerms = tuple[float, np.ndarray, np.ndarray]
 
 
-def _integrand(s: float, terms: list[tuple[float, float]]) -> float:
-    u = 1.0 - 2.0 * s
-    uu = u * u
-    acc = 0.0
-    for xi2, r in terms:
-        w2 = uu + 4.0 * r * s * (1.0 - s)
-        acc += xi2 / (w2 * w2 * w2)
-    return math.sqrt(acc)
+def _stretched_terms(shapes: list[SubsystemShape]) -> _StretchedTerms | None:
+    """log2 r_min and, per subsystem that is not fully marked, the
+    coefficients kappa_i^2 (1 - r_i) and c_i = kappa_i (1 - r_i) of the
+    stretched density.
+
+    kappa_i = r_min / r_i comes from the log2 counts, so a ratio that
+    underflows (r = 2^-1500 has ratio 0.0) still counts, and 1 - r_i is the
+    shape's unmarked fraction.  The terms are sorted, so that permutations
+    of the input give bit-identical budgets.  None when every subsystem is
+    fully marked.
+    """
+    terms = sorted(
+        (shape.log2_solutions - shape.log2_dimension, shape.unmarked_fraction)
+        for shape in shapes
+        if not shape.degenerate
+    )
+    if not terms:
+        return None
+    log2_r_min = terms[0][0]
+    kappa = np.array([_exp2(log2_r_min - log2_r) for log2_r, _ in terms])
+    c = kappa * np.array([unmarked for _, unmarked in terms])
+    return log2_r_min, kappa * c, c
 
 
-def _integrand_grid(s: np.ndarray, terms: list[tuple[float, float]]) -> np.ndarray:
-    uu = (1.0 - 2.0 * s) ** 2
-    acc = np.zeros_like(s)
-    for xi2, r in terms:
-        w2 = uu + 4.0 * r * s * (1.0 - s)
-        acc += xi2 / (w2 * w2 * w2)
-    return np.sqrt(acc)
+def _stretched_density(v: np.ndarray, terms: _StretchedTerms) -> np.ndarray:
+    """g(v) = t sqrt(sum_i kappa_i^2 (1 - r_i) / (c_i + (1 - c_i) t)^3) with
+    t = sech^2 v: the stage-one integrand in the stretched variable, scaled
+    by sqrt(r_min) (see the module docstring)."""
+    _, weights, c = terms
+    t = np.cosh(v) ** -2.0
+    d = np.multiply.outer(t, 1.0 - c) + c
+    return t * np.sqrt(d**-3.0 @ weights)
+
+
+def _panel_sum(
+    terms: _StretchedTerms, rule: tuple[np.ndarray, np.ndarray], v_end: float, panels: int
+) -> float:
+    """integral_0^v_end g(v) dv by a Gauss-Legendre rule on equal panels."""
+    nodes, weights = rule
+    width = v_end / panels
+    v = np.add.outer(np.arange(panels), nodes).ravel() * width
+    return width * float(_stretched_density(v, terms).reshape(panels, -1).sum(axis=0) @ weights)
+
+
+def _stage1_integral(terms: _StretchedTerms, tolerance: float) -> tuple[float, float]:
+    """integral_0^1 of the stage-one integrand (T1 at epsilon = 1) and its
+    error estimate, the difference of the 16- and 8-point rules.  The panels
+    are halved until that estimate is within tolerance of the integral, at
+    most _MAX_REFINEMENTS times."""
+    half_log2 = -0.5 * terms[0]
+    # asinh(2^128) is already past _V_MAX
+    v_end = min(math.asinh(_exp2(min(half_log2, 128.0))), _V_MAX)
+    panels = math.ceil(v_end / _PANEL_WIDTH)
+    for _ in range(_MAX_REFINEMENTS + 1):
+        hi = _panel_sum(terms, _GAUSS_16, v_end, panels)
+        lo = _panel_sum(terms, _GAUSS_8, v_end, panels)
+        if abs(hi - lo) <= tolerance * hi:
+            break
+        panels *= 2
+    scale = _exp2_or_inf(half_log2)
+    return scale * hi, scale * abs(hi - lo)
 
 
 def stage1_time(
@@ -114,7 +183,9 @@ def stage1_time(
     duration of their joint local adiabatic schedule.
 
     Returns a TimeBudget with iterations = 1 (composition with the second
-    stage happens in total_time).  When every subsystem is fully marked the
+    stage happens in total_time).  `tolerance` bounds the relative error
+    estimate of the Gauss-Legendre quadrature, which is reported as
+    quadrature_error_estimate.  When every subsystem is fully marked the
     integrand vanishes identically and a zero budget is returned with the
     degenerate flag set.
     """
@@ -124,8 +195,8 @@ def stage1_time(
         target = AccuracyTarget()
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
-    terms = _terms(shapes)
-    if not terms:
+    terms = _stretched_terms(shapes)
+    if terms is None:
         return TimeBudget(
             stage1_time=0.0,
             iterations=1,
@@ -134,24 +205,13 @@ def stage1_time(
             quadrature_error_estimate=0.0,
             degenerate=True,
         )
-    integral, abserr = quad(
-        _integrand,
-        0.0,
-        1.0,
-        args=(terms,),
-        points=[0.5],
-        epsabs=0.0,
-        epsrel=tolerance,
-        limit=250,
-    )
-    grid = np.linspace(0.0, 1.0, _PEAK_GRID_POINTS)
-    peak_s = float(grid[int(np.argmax(_integrand_grid(grid, terms)))])
+    integral, abserr = _stage1_integral(terms, tolerance)
     t1 = integral / target.epsilon
     return TimeBudget(
         stage1_time=t1,
         iterations=1,
         total_time=t1,
-        integrand_peak_s=peak_s,
+        integrand_peak_s=0.5,
         quadrature_error_estimate=abserr / target.epsilon,
     )
 
@@ -207,7 +267,7 @@ def total_time(
     constant: float = 1.0,
     tolerance: float = DEFAULT_QUAD_TOLERANCE,
 ) -> TimeBudget:
-    """Full nested cost: first-stage quadrature times the iteration count
+    """Full nested cost: first-stage time times the iteration count
     ceil(sqrt(prod_i M_i / M_joint)) over any number of subsystems."""
     budget = stage1_time(shapes, target, tolerance=tolerance)
     if all(isinstance(s.solutions, int) for s in shapes):

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 
+_LN2 = math.log(2.0)
+
+
 def _exp2(v: float) -> float:
     # math.exp2 arrived in 3.11; this codebase supports 3.10.
     return 2.0**v
@@ -45,7 +48,9 @@ class SubsystemShape:
 
     Counts from an actual instance are integers; estimates coming out of the
     complexity model may be fractional, and both are accepted.  The marked
-    fraction `ratio` is derived once at construction.
+    fraction `ratio` and the unmarked fraction `unmarked_fraction` = 1 - ratio
+    are derived once at construction, each as accurately as the inputs allow:
+    near 1 the ratio rounds to 1.0 while 1 - M/N is still resolved.
     """
 
     dimension: float
@@ -53,6 +58,7 @@ class SubsystemShape:
     log2_dimension: float = field(init=False, repr=False, compare=False)
     log2_solutions: float = field(init=False, repr=False, compare=False)
     ratio: float = field(init=False, repr=False, compare=False)
+    unmarked_fraction: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dimension <= 0:
@@ -71,6 +77,13 @@ class SubsystemShape:
         if ratio == 0.0:
             ratio = _exp2(self.log2_solutions - self.log2_dimension)
         object.__setattr__(self, "ratio", min(ratio, 1.0))
+        # below 1/2, 1 - ratio loses nothing; above it the difference of the
+        # counts is exact
+        if ratio < 0.5:
+            unmarked = 1.0 - ratio
+        else:
+            unmarked = (self.dimension - self.solutions) / self.dimension
+        object.__setattr__(self, "unmarked_fraction", unmarked)
 
     @classmethod
     def from_log2(cls, log2_dimension: float, log2_solutions: float) -> "SubsystemShape":
@@ -89,13 +102,20 @@ class SubsystemShape:
         object.__setattr__(obj, "solutions", _exp2_or_inf(log2_solutions))
         object.__setattr__(obj, "log2_dimension", float(log2_dimension))
         object.__setattr__(obj, "log2_solutions", float(log2_solutions))
-        object.__setattr__(obj, "ratio", min(_exp2(log2_solutions - log2_dimension), 1.0))
+        log2_ratio = float(log2_solutions) - float(log2_dimension)
+        object.__setattr__(obj, "ratio", min(_exp2(log2_ratio), 1.0))
+        object.__setattr__(obj, "unmarked_fraction", -math.expm1(log2_ratio * _LN2))
         return obj
 
     @property
     def degenerate(self) -> bool:
-        """True when every state is marked and there is nothing to search for."""
-        return self.ratio >= 1.0
+        """True when every state is marked and there is nothing to search for.
+
+        A shape from from_log2 is degenerate only when its two logs are
+        equal; a ratio that underflows to 0.0 or rounds to 1.0 does not make
+        it so.
+        """
+        return self.unmarked_fraction == 0.0
 
 
 def _exp2_or_inf(v: float) -> float:

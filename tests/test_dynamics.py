@@ -293,3 +293,16 @@ def test_evolution_config_validation():
         EvolutionConfig(total_time=10.0, schedule="quadratic")
     assert EvolutionConfig(total_time=0.5).resolved_steps() == 1000
     assert EvolutionConfig(total_time=100.0).resolved_steps() == 10000
+
+
+def test_bound_report_flags_a_ladder_that_is_not_monotone():
+    report = verify_adiabatic_bound([SubsystemShape(256, 1)] * 2, AccuracyTarget(1.0))
+    assert report.infidelities[2] > report.infidelities[1]
+    assert not report.monotone
+    assert math.isfinite(report.decay_order)
+
+
+def test_bound_report_criterion_8_ladder_is_monotone():
+    report = verify_adiabatic_bound([SubsystemShape(64, 1)] * 2, AccuracyTarget(0.1))
+    assert report.monotone
+    assert report.infidelities == pytest.approx((0.02384, 0.009873, 1.182e-5), rel=1e-3)

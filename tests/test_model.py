@@ -170,3 +170,31 @@ def test_epsilon_rescales_model_time():
     tight = model_time(PartitionModel(32, 2, 1.0, 0.5), AccuracyTarget(0.5))
     assert tight.stage1_time == 2.0 * base.stage1_time
     assert tight.iterations == base.iterations
+
+
+def test_model_time_at_n200_lies_in_the_sandwich():
+    # both sides keep 2^(100 - 50) of 2^100 assignments: r = 2^-50 each
+    budget = model_time(PartitionModel(200, 2, 1.0, 0.5))
+    odds = math.sqrt(-math.expm1(-50.0 * math.log(2.0))) * 2.0**25
+    assert odds * (1.0 - 1e-12) <= budget.stage1_time <= 2.0 * odds * (1.0 + 1e-12)
+    assert budget.total_time == budget.stage1_time * budget.iterations
+
+
+def test_optimize_x_at_n200_is_finite():
+    x_opt, log2_total = optimize_x(200, 2, 1.0)
+    assert abs(x_opt - 0.5) <= 0.01
+    assert math.isfinite(log2_total)
+
+
+def test_fit_scaling_slope_at_large_n():
+    fit = fit_scaling(2, 1.0, 0.5, list(range(100, 301, 25)))
+    assert abs(fit.slope - scaling_exponent(2, 1.0)) <= 1e-3
+
+
+def test_optimize_x_costs_no_more_than_its_grid_points():
+    # golden section used to settle on a step of the iteration ceiling above
+    # the balanced split, which is a point of the default grid
+    n, k, alpha = 29, 2, 0.5281654697832059
+    _, log2_total = optimize_x(n, k, alpha)
+    balanced = math.log2(model_time(PartitionModel(n, k, alpha, 0.5)).total_time)
+    assert log2_total <= balanced

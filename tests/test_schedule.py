@@ -9,10 +9,16 @@ sqrt(2) * sqrt(N/M - 1) at accuracy 1.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nestedsearch import (
     AccuracyTarget,
@@ -214,3 +220,71 @@ def test_validation():
     with pytest.raises(ValueError):
         AccuracyTarget(1.5)
     assert AccuracyTarget().epsilon == 1.0
+
+
+# Oracles in log2, exact down to 2^-1500: sqrt((1-r)/r) for r = 2^log2_r.
+def sqrt_odds(log2_r: float) -> float:
+    return math.sqrt(-math.expm1(log2_r * math.log(2.0))) * 2.0 ** (-0.5 * log2_r)
+
+
+@pytest.mark.parametrize("exponent", [10, 40, 100, 1000, 1500])
+@pytest.mark.parametrize("count", [1, 2])
+def test_stage1_time_closed_forms_down_to_tiny_ratios(exponent, count):
+    # one subsystem gives sqrt((1-r)/r), an equal pair sqrt(2 (1-r)/r)
+    shapes = [SubsystemShape.from_log2(float(exponent), 0.0)] * count
+    budget = stage1_time(shapes)
+    assert not budget.degenerate
+    assert budget.stage1_time == pytest.approx(
+        math.sqrt(count) * sqrt_odds(-float(exponent)), rel=1e-12
+    )
+
+
+def test_shape_is_degenerate_only_when_its_logs_are_equal():
+    # the ratio underflows to 0.0 here, and rounds to 1.0 in the second case
+    for log2_dimension, log2_solutions in ((1500.0, 0.0), (1e-17, 0.0)):
+        shape = SubsystemShape.from_log2(log2_dimension, log2_solutions)
+        assert not shape.degenerate
+        budget = stage1_time([shape])
+        assert not budget.degenerate
+        assert budget.stage1_time == pytest.approx(
+            sqrt_odds(log2_solutions - log2_dimension), rel=1e-12
+        )
+    assert SubsystemShape.from_log2(1500.0, 0.0).ratio == 0.0
+    assert stage1_time([SubsystemShape.from_log2(7.0, 7.0)]).degenerate
+
+
+# Ratios 2^-e from 2^-1000 to 1.  Below e = 1e-308 or so, 1 - r is a
+# subnormal double with next to no relative precision, in the shape as in
+# the oracle, so e is either 0 (fully marked) or at least 1e-300.
+ratio_exponents = st.one_of(st.just(0.0), st.floats(1e-300, 1000.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    exponents=st.lists(ratio_exponents, min_size=1, max_size=4),
+    epsilon=st.floats(0.01, 1.0),
+)
+def test_stage1_time_sandwich(exponents, epsilon):
+    # sqrt(sum a_i^2) lies between max a_i and sum a_i, and the integral of
+    # a_i alone is sqrt((1-r_i)/r_i)
+    shapes = [SubsystemShape.from_log2(e, 0.0) for e in exponents]
+    odds = [sqrt_odds(-e) for e in exponents]
+    scaled = epsilon * stage1_time(shapes, AccuracyTarget(epsilon)).stage1_time
+    assert max(odds) * (1.0 - 1e-12) <= scaled <= sum(odds) * (1.0 + 1e-12)
+
+
+def test_stage1_time_returns_python_floats():
+    budget = total_time([SubsystemShape(2**20, 7), SubsystemShape(2**13, 3)], 2)
+    assert type(budget.stage1_time) is float
+    assert type(budget.total_time) is float
+    assert type(budget.quadrature_error_estimate) is float
+
+
+def test_package_import_leaves_scipy_out():
+    env = dict(os.environ)
+    package_root = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, env.get("PYTHONPATH"))))
+    code = "import sys, nestedsearch; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
