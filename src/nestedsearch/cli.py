@@ -14,7 +14,8 @@ Subcommands:
 Every command is deterministic given its full flag set.  File outputs in
 CSV form carry no timestamp, so repeated runs are byte-identical; JSON
 records include a timestamp alongside the echoed inputs.  Exit codes:
-0 success, 2 validation error, 3 refused-scale error, 1 internal error.
+0 success, 2 validation error, 3 refused-scale error (a census or a
+simulation past its guard), 1 internal error.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .csp import (
-    CensusScaleError,
+    ScaleError,
     census,
     classify,
     generate,
@@ -49,12 +50,7 @@ from .dynamics import (
     simulate_stage2,
 )
 from .model import PartitionModel, approx_model_time, fit_scaling, model_time, optimize_x
-from .schedule import (
-    DEFAULT_QUAD_TOLERANCE,
-    AccuracyTarget,
-    stage1_time,
-    stage2_iterations,
-)
+from .schedule import AccuracyTarget, stage1_time, stage2_iterations
 from .spectral import SubsystemShape
 
 # Stable sweep schema; golden-file tests pin it.  Documented in the README.
@@ -201,8 +197,8 @@ def _ns_to_exponents(values: list[float]) -> list[int]:
 # shared model-point evaluation
 
 
-def _model_row(model: PartitionModel, epsilon: float, tolerance: float) -> dict[str, Any]:
-    budget = model_time(model, AccuracyTarget(epsilon), tolerance=tolerance)
+def _model_row(model: PartitionModel, epsilon: float) -> dict[str, Any]:
+    budget = model_time(model, AccuracyTarget(epsilon))
     approx = approx_model_time(model) - math.log2(epsilon)
     return {
         "n": model.n,
@@ -231,14 +227,13 @@ def _require_fixed(args: argparse.Namespace, vary: str) -> None:
 
 def _cmd_time(args: argparse.Namespace) -> int:
     model = PartitionModel(args.n, args.k, args.alpha, args.x)
-    row = _model_row(model, args.epsilon, args.tolerance)
+    row = _model_row(model, args.epsilon)
     budget = row.pop("_budget")
     outputs = dict(row)
     outputs.update(
         stage1_time=budget.stage1_time,
         iterations=budget.iterations,
         total_time=budget.total_time,
-        integrand_peak_s=budget.integrand_peak_s,
     )
     _print_outputs(outputs)
     _write_record(args, _run_record("time", _inputs(args), outputs))
@@ -248,7 +243,6 @@ def _cmd_time(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _require_fixed(args, args.vary)
     grid = _parse_grid(args.grid)
-    epsilon, tolerance = args.epsilon, args.tolerance
 
     if args.vary == "N":
         points = _ns_to_exponents(grid)
@@ -262,7 +256,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         fields = {"n": args.n, "k": args.k, "alpha": args.alpha, "x": args.x}
         fields["n" if args.vary == "N" else args.vary] = value
         model = PartitionModel(**fields)
-        row = _model_row(model, epsilon, tolerance)
+        row = _model_row(model, args.epsilon)
         row.pop("_budget")
         rows.append(row)
 
@@ -278,14 +272,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     n_values = _as_int_grid(_parse_grid(args.grid), "n")
-    fit = fit_scaling(
-        args.k,
-        args.alpha,
-        args.x,
-        n_values,
-        AccuracyTarget(args.epsilon),
-        tolerance=args.tolerance,
-    )
+    fit = fit_scaling(args.k, args.alpha, args.x, n_values, AccuracyTarget(args.epsilon))
     outputs = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -310,13 +297,7 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    x_opt, log2_total = optimize_x(
-        args.n,
-        args.k,
-        args.alpha,
-        AccuracyTarget(args.epsilon),
-        tolerance=args.tolerance,
-    )
+    x_opt, log2_total = optimize_x(args.n, args.k, args.alpha, AccuracyTarget(args.epsilon))
     outputs = {"x_opt": x_opt, "log2_total_time": log2_total}
     _print_outputs(outputs)
     _write_record(args, _run_record("optimize", _inputs(args), outputs))
@@ -392,16 +373,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise CliValidationError(
             "simulate needs exactly one of an instance path, --shapes, or --counts"
         )
+    # resolved defaults go back into args, so that the record echoes them
+    if args.counts is None:
+        for flag, value in (("--steps", args.steps), ("--step-time", args.step_time)):
+            if value is not None:
+                raise CliValidationError(f"{flag} applies only to --counts runs")
+        if args.time_factor is None:
+            args.time_factor = 1.0
+    else:
+        if args.time_factor is not None:
+            raise CliValidationError("--time-factor applies only to instance and --shapes runs")
+        if args.step_time is None:
+            args.step_time = STAGE2_STEP_TIME
     target = AccuracyTarget(args.epsilon)
 
     if args.instance is not None:
-        if args.steps is not None:
-            raise CliValidationError("--steps applies only to --counts runs")
         report = run_nested_search(
-            read_instance(args.instance),
-            target,
-            time_factor=args.time_factor,
-            tolerance=args.tolerance,
+            read_instance(args.instance), target, time_factor=args.time_factor
         )
         outputs = {
             "m_a": report.counts.m_a,
@@ -415,10 +403,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "norm_error": max(report.stage1.norm_error, report.stage2.norm_error),
         }
     elif args.shapes is not None:
-        if args.steps is not None:
-            raise CliValidationError("--steps applies only to --counts runs")
         shapes = _parse_shapes(args.shapes)
-        budget = stage1_time(shapes, target, tolerance=args.tolerance)
+        budget = stage1_time(shapes, target)
         total = args.time_factor * budget.stage1_time
         report = simulate_stage1(shapes, EvolutionConfig(total_time=total))
         outputs = {
@@ -504,12 +490,6 @@ def _add_model_flags(parser: argparse.ArgumentParser, *, required: Sequence[str]
 
 def _add_common_flags(parser: argparse.ArgumentParser, *, default_format: str = "json") -> None:
     parser.add_argument("--epsilon", type=float, default=1.0, help="accuracy target (default 1)")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_QUAD_TOLERANCE,
-        help="relative error tolerance of the stage-one Gauss-Legendre quadrature",
-    )
     parser.add_argument("--out", help="optional output file")
     parser.add_argument("--format", choices=("csv", "json"), default=default_format)
 
@@ -532,12 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="comma list or lo:hi:steps")
     _add_model_flags(p)
     p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_QUAD_TOLERANCE,
-        help="relative error tolerance of the stage-one Gauss-Legendre quadrature",
-    )
     p.add_argument("--out", required=True, help="output file")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(handler=_cmd_sweep)
@@ -569,9 +543,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance", nargs="?", help="instance file for an end-to-end run")
     p.add_argument("--shapes", help="stage-one shapes as M:N,M:N")
     p.add_argument("--counts", help="stage-two counts as M_A:M_B:M_AB")
-    p.add_argument("--time-factor", type=float, default=1.0, dest="time_factor")
-    p.add_argument("--steps", type=int, help="override stage-two step count")
-    p.add_argument("--step-time", type=float, default=STAGE2_STEP_TIME, dest="step_time")
+    p.add_argument(
+        "--time-factor", type=float, dest="time_factor",
+        help="stage-one run time in units of T1 (default 1; not with --counts)",
+    )
+    p.add_argument("--steps", type=int, help="override stage-two step count (--counts only)")
+    p.add_argument(
+        "--step-time", type=float, dest="step_time",
+        help=f"stage-two step duration (default {STAGE2_STEP_TIME:.6g}; --counts only)",
+    )
     _add_common_flags(p)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -593,7 +573,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CensusScaleError as exc:
+    except ScaleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

@@ -29,6 +29,7 @@ __all__ = [
     "CspInstance",
     "ConstraintSplit",
     "SolutionCensus",
+    "ScaleError",
     "CensusScaleError",
     "FILE_FORMAT_VERSION",
     "constraint_count",
@@ -50,9 +51,15 @@ CENSUS_MAX_SIDE = 25
 _CHUNK_BITS = 20
 
 
-class CensusScaleError(ValueError):
+class ScaleError(ValueError):
+    """Raised when a computation is refused because its exact work would
+    pass a fixed guard; distinguishes scale refusal from plain bad
+    arguments."""
+
+
+class CensusScaleError(ScaleError):
     """Raised when an exact census is refused because enumeration would be
-    too large; distinguishes scale refusal from plain bad arguments."""
+    too large."""
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,9 @@ sqrt(M_A M_B / M_AB): STAGE2_STEP_MULTIPLIER coarse steps per iteration, each
 of duration STAGE2_STEP_TIME.  Both constants are frozen artifacts of
 calibrate_stage2() on the (M_A, M_B, M_AB) = (16, 16, 1) reference problem
 and can be regenerated with that function.
+
+Neither stage runs more than MAX_STEPS steps: a longer run is refused with
+ScaleError before any step is taken.
 """
 
 from __future__ import annotations
@@ -31,14 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csp import CspInstance, SolutionCensus, census, shapes_from_census
+from .csp import CspInstance, ScaleError, SolutionCensus, census, shapes_from_census
 from .schedule import (
-    DEFAULT_QUAD_TOLERANCE,
     AccuracyTarget,
     TimeBudget,
     _gauss_legendre,
     _stretched_density,
     _stretched_terms,
+    stage1_time,
     total_time,
 )
 from .spectral import SubsystemShape, _exp2
@@ -51,6 +54,7 @@ __all__ = [
     "Stage2Calibration",
     "STAGE2_STEP_MULTIPLIER",
     "STAGE2_STEP_TIME",
+    "MAX_STEPS",
     "simulate_stage1",
     "verify_adiabatic_bound",
     "simulate_stage2",
@@ -62,6 +66,13 @@ __all__ = [
 # function's docstring for the procedure.
 STAGE2_STEP_MULTIPLIER = 3
 STAGE2_STEP_TIME = 42.666666666666664
+
+# Largest step count either stage runs; stage one's local schedule may add
+# up to 1/_MAX_STEP_DS split steps on top.
+MAX_STEPS = 10_000_000
+
+# verify_adiabatic_bound: run times, in units of T1, of the infidelity ladder
+_BOUND_TIME_FACTORS = (1.0, 2.0, 4.0)
 
 _MAX_STEP_NORM_DRIFT = 1e-9
 _MAX_TOTAL_NORM_ERROR = 1e-8
@@ -90,7 +101,8 @@ class EvolutionConfig:
     stage-one integrand of the simulated shapes, so that a run of T = T1
     sweeps at the local adiabatic rate the budget T1 is derived for.  Under
     "local", steps in which s would move more than _MAX_STEP_DS are split,
-    which adds at most 1/_MAX_STEP_DS steps.
+    which adds at most 1/_MAX_STEP_DS steps.  More than MAX_STEPS steps is
+    refused with ScaleError.
     """
 
     total_time: float
@@ -100,12 +112,15 @@ class EvolutionConfig:
     def __post_init__(self) -> None:
         if self.total_time < 0.0:
             raise ValueError(f"total_time must be non-negative, got {self.total_time}")
+        if not math.isfinite(self.total_time):
+            raise ValueError(f"total_time must be finite, got {self.total_time}")
         if self.schedule not in _SCHEDULES:
             raise ValueError(
                 f"schedule must be one of {', '.join(_SCHEDULES)}, got {self.schedule!r}"
             )
         if self.steps is not None and self.steps < 100:
             raise ValueError(f"steps must be at least 100, got {self.steps}")
+        _check_steps(self.resolved_steps(), "stage-one")
 
     def resolved_steps(self) -> int:
         if self.steps is not None:
@@ -163,6 +178,13 @@ class NestedSearchReport:
 
 class IntegrationError(RuntimeError):
     """Integrator step too coarse for the requested evolution."""
+
+
+def _check_steps(steps: int, stage: str) -> None:
+    if steps > MAX_STEPS:
+        raise ScaleError(
+            f"{stage} simulation refused: {steps} steps exceed the step guard ({MAX_STEPS})"
+        )
 
 
 # (s(t), s(t + h/2), s(t + h), h) of one RK4 step
@@ -376,14 +398,10 @@ def simulate_stage1(
 
 
 def verify_adiabatic_bound(
-    shapes: list[SubsystemShape],
-    target: AccuracyTarget | None = None,
-    *,
-    time_factors: tuple[float, ...] = (1.0, 2.0, 4.0),
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
+    shapes: list[SubsystemShape], target: AccuracyTarget | None = None
 ) -> AdiabaticBoundReport:
-    """Run stage one on the local schedule at multiples of its minimal time
-    T1 and fit how the infidelity decays with T.
+    """Run stage one on the local schedule at 1, 2 and 4 times its minimal
+    time T1 and fit how the infidelity decays with T.
 
     The fit is reported whatever the ladder looks like; the report's
     `monotone` flag says whether the infidelity falls with every longer run,
@@ -392,35 +410,28 @@ def verify_adiabatic_bound(
     so the runs sit in the small-gap regime the minimal-time quadrature is
     about.
     """
-    if target is None:
-        target = AccuracyTarget()
     for shape in shapes:
         if shape.ratio > 1.0 / 16.0:
             raise ValueError(
                 f"marked fraction {shape.ratio} above 1/16; the adiabatic "
                 "scaling check needs small ratios"
             )
-    if len(time_factors) < 2 or any(f <= 0 for f in time_factors):
-        raise ValueError("need at least two positive time factors")
-    from .schedule import stage1_time as _stage1_time
-
-    t1 = _stage1_time(shapes, target, tolerance=tolerance).stage1_time
-    infidelities = []
-    for factor in time_factors:
-        report = simulate_stage1(
-            shapes, EvolutionConfig(total_time=factor * t1, schedule="local")
-        )
-        infidelities.append(max(1.0 - report.final_fidelity, 1e-300))
-    slope = np.polyfit(
-        np.log(np.asarray(time_factors)), np.log(np.asarray(infidelities)), 1
-    )[0]
-    ladder = [infidelity for _, infidelity in sorted(zip(time_factors, infidelities))]
+    t1 = stage1_time(shapes, target).stage1_time
+    # every run is checked against the step guard before the first starts
+    configs = [
+        EvolutionConfig(total_time=factor * t1, schedule="local")
+        for factor in _BOUND_TIME_FACTORS
+    ]
+    infidelities = [
+        max(1.0 - simulate_stage1(shapes, config).final_fidelity, 1e-300) for config in configs
+    ]
+    slope = np.polyfit(np.log(_BOUND_TIME_FACTORS), np.log(infidelities), 1)[0]
     return AdiabaticBoundReport(
         stage1_time=t1,
-        time_factors=tuple(time_factors),
+        time_factors=_BOUND_TIME_FACTORS,
         infidelities=tuple(infidelities),
         decay_order=float(-slope),
-        monotone=all(later < earlier for earlier, later in zip(ladder, ladder[1:])),
+        monotone=all(later < earlier for earlier, later in zip(infidelities, infidelities[1:])),
     )
 
 
@@ -462,6 +473,7 @@ def simulate_stage2(
         raise ValueError("no global solution: joint solution count must be positive")
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
+    _check_steps(steps, "stage-two")
     if step_time <= 0.0:
         raise ValueError(f"step_time must be positive, got {step_time}")
     r = m_ab / (m_a * m_b)
@@ -537,9 +549,6 @@ def run_nested_search(
     target: AccuracyTarget | None = None,
     *,
     time_factor: float = 1.0,
-    step_multiplier: int = STAGE2_STEP_MULTIPLIER,
-    step_time: float = STAGE2_STEP_TIME,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
 ) -> NestedSearchReport:
     """Census an instance, budget its run, and simulate both stages.
 
@@ -548,15 +557,13 @@ def run_nested_search(
     unsatisfiable instances and instances without global solutions raise
     with a message saying so.
     """
-    if target is None:
-        target = AccuracyTarget()
     if time_factor <= 0.0:
         raise ValueError(f"time_factor must be positive, got {time_factor}")
     counts = census(instance)
     shape_a, shape_b, m_ab = shapes_from_census(instance, counts)
     if m_ab == 0:
         raise ValueError("no global solution: the instance is unsatisfiable")
-    budget = total_time([shape_a, shape_b], m_ab, target, tolerance=tolerance)
+    budget = total_time([shape_a, shape_b], m_ab, target)
     stage1 = simulate_stage1(
         [shape_a, shape_b],
         EvolutionConfig(total_time=time_factor * budget.stage1_time, schedule="local"),
@@ -565,8 +572,8 @@ def run_nested_search(
         counts.m_a,
         counts.m_b,
         m_ab,
-        steps=step_multiplier * budget.iterations,
-        step_time=step_time,
+        steps=STAGE2_STEP_MULTIPLIER * budget.iterations,
+        step_time=STAGE2_STEP_TIME,
     )
     return NestedSearchReport(
         counts=counts,

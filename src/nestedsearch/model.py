@@ -21,12 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .schedule import (
-    DEFAULT_QUAD_TOLERANCE,
-    AccuracyTarget,
-    TimeBudget,
-    total_time,
-)
+from .schedule import AccuracyTarget, TimeBudget, total_time
 from .spectral import SubsystemShape, _exp2
 
 __all__ = [
@@ -40,6 +35,11 @@ __all__ = [
     "optimize_x",
     "fit_scaling",
 ]
+
+# optimize_x: the grid over the split x that picks a bracket, and the width
+# golden-section search narrows that bracket to
+_X_GRID = np.linspace(0.02, 0.98, 101)
+_X_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -112,13 +112,7 @@ def estimate(model: PartitionModel) -> ModelEstimates:
     )
 
 
-def model_time(
-    model: PartitionModel,
-    target: AccuracyTarget | None = None,
-    *,
-    constant: float = 1.0,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
-) -> TimeBudget:
+def model_time(model: PartitionModel, target: AccuracyTarget | None = None) -> TimeBudget:
     """Composed run time for the model point: shapes from the clamped
     estimates, iteration count against the raw joint estimate."""
     est = estimate(model)
@@ -128,7 +122,7 @@ def model_time(
     ]
     _, _, raw_log2_m_ab = _raw_log2_counts(model)
     m_joint = _exp2(raw_log2_m_ab)
-    budget = total_time(shapes, m_joint, target, constant=constant, tolerance=tolerance)
+    budget = total_time(shapes, m_joint, target)
     if est.clamped:
         budget = replace(budget, clamped=True)
     return budget
@@ -151,56 +145,42 @@ def scaling_exponent(k: int, alpha: float) -> float:
     return alpha / 2.0 - alpha / 2.0 ** (k + 1)
 
 
-def _log2_total(model: PartitionModel, target: AccuracyTarget, tolerance: float) -> float:
-    total = model_time(model, target, tolerance=tolerance).total_time
+def _log2_total(model: PartitionModel, target: AccuracyTarget) -> float:
+    total = model_time(model, target).total_time
     if total <= 0.0:
         return -math.inf
     return math.log2(total)
 
 
 def optimize_x(
-    n: int,
-    k: int,
-    alpha: float,
-    target: AccuracyTarget | None = None,
-    *,
-    bounds: tuple[float, float] = (0.02, 0.98),
-    grid_points: int = 101,
-    xtol: float = 1e-4,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
+    n: int, k: int, alpha: float, target: AccuracyTarget | None = None
 ) -> tuple[float, float]:
     """Deterministic argmin of the composed log2 run time over the split x.
 
-    A coarse grid over `bounds` picks a bracket (ties resolved toward 0.5),
-    then golden-section refinement narrows it to width xtol; the refined
+    A 101-point grid over [0.02, 0.98] picks a bracket (ties resolved toward
+    0.5), then golden-section refinement narrows it to width 1e-4; the refined
     split is kept only if it costs no more than the best grid point.  Returns
     (x_opt, log2 total time at x_opt); a flat objective (alpha = 0) resolves
     to x = 0.5.
     """
     if target is None:
         target = AccuracyTarget()
-    lo, hi = bounds
-    if not (0.0 < lo < hi < 1.0):
-        raise ValueError(f"bounds must satisfy 0 < lo < hi < 1, got {bounds}")
-    if grid_points < 3:
-        raise ValueError(f"grid needs at least 3 points, got {grid_points}")
 
     def objective(x: float) -> float:
-        return _log2_total(PartitionModel(n, k, alpha, x), target, tolerance)
+        return _log2_total(PartitionModel(n, k, alpha, x), target)
 
-    xs = np.linspace(lo, hi, grid_points)
-    vals = [objective(float(x)) for x in xs]
-    best = min(range(len(xs)), key=lambda i: (vals[i], abs(xs[i] - 0.5)))
+    vals = [objective(float(x)) for x in _X_GRID]
+    best = min(range(len(_X_GRID)), key=lambda i: (vals[i], abs(_X_GRID[i] - 0.5)))
     if vals[best] == -math.inf or max(vals) - min(vals) == 0.0:
         return 0.5, objective(0.5)
 
-    a = float(xs[max(best - 1, 0)])
-    b = float(xs[min(best + 1, len(xs) - 1)])
+    a = float(_X_GRID[max(best - 1, 0)])
+    b = float(_X_GRID[min(best + 1, len(_X_GRID) - 1)])
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    while b - a > xtol:
+    while b - a > _X_TOL:
         if fc < fd or (fc == fd and abs(c - 0.5) <= abs(d - 0.5)):
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -214,7 +194,7 @@ def optimize_x(
     # the iteration ceiling makes the objective a staircase, on which golden
     # section can settle on a split that costs more than the grid's best
     if value > vals[best]:
-        return float(xs[best]), vals[best]
+        return float(_X_GRID[best]), vals[best]
     return x_opt, value
 
 
@@ -224,8 +204,6 @@ def fit_scaling(
     x: float,
     n_values: list[int],
     target: AccuracyTarget | None = None,
-    *,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
 ) -> ScalingFit:
     """Slope of log2 total time against n over `n_values` (at least 5)."""
     if len(n_values) < 5:
@@ -236,7 +214,7 @@ def fit_scaling(
     log2_approx = []
     for n in n_values:
         model = PartitionModel(n, k, alpha, x)
-        log2_total.append(_log2_total(model, target, tolerance))
+        log2_total.append(_log2_total(model, target))
         log2_approx.append(approx_model_time(model))
     ns = np.asarray(n_values, dtype=float)
     ys = np.asarray(log2_total)

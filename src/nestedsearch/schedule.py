@@ -26,10 +26,8 @@ and every coefficient lies in [0, 1], so nothing overflows or underflows:
 the ratios enter only through log2_solutions - log2_dimension, and 2^-1500 is
 as exact as 2^-10.  V is capped at 45, past which less than e^-45 of T1
 remains.  A fixed 16-point Gauss-Legendre rule on panels half a unit of v
-wide integrates g.  The 8-point rule on the same panels is already exact to
-rounding there, so the difference of the two is an error estimate that
-tracks the actual error instead of overstating it by orders of magnitude,
-and any tolerance above about 1e-14 is met without refining.
+wide integrates g, and the difference from the 8-point rule on the same
+panels is reported as the error estimate.
 
 The second stage repeats a fixed-cost step ceil(sqrt(prod_i M_i / M_joint))
 times, giving a total of T1 * iterations.
@@ -38,6 +36,7 @@ times, giving a total of T1 * iterations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -47,15 +46,12 @@ from .spectral import SubsystemShape, _exp2, _exp2_or_inf
 __all__ = [
     "AccuracyTarget",
     "TimeBudget",
-    "DEFAULT_QUAD_TOLERANCE",
     "stage1_time",
     "stage2_iterations",
     "total_time",
     "approx_stage1_time",
     "approx_total_time",
 ]
-
-DEFAULT_QUAD_TOLERANCE = 1e-8
 
 
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -71,8 +67,11 @@ _PANEL_WIDTH = 0.5
 # sqrt(r_min / r_i) below about e^-45 still rises past v = 45, so the part of
 # the integral beyond it is below e^-45 of the whole.
 _V_MAX = 45.0
-# panel halvings allowed, after the first pass, to meet the tolerance
-_MAX_REFINEMENTS = 8
+# When 1 - r_min is a subnormal double, the products in the stretched density
+# would keep only its few bits and make g a staircase; the weights are then
+# lifted by 2^(2 _LIFT_HALF_EXP), which the square root turns into an exact
+# factor 2^_LIFT_HALF_EXP to divide back out.
+_LIFT_HALF_EXP = 300
 
 
 @dataclass(frozen=True)
@@ -94,26 +93,25 @@ class TimeBudget:
     total_time is exactly stage1_time * iterations.  `degenerate` marks the
     no-search-needed case (every subsystem fully marked, stage1_time = 0);
     `clamped` is carried along when the inputs came from a clamped model
-    estimate.  integrand_peak_s is always 0.5: every term xi_i^2 / w_i^6 of
-    the stage-one integrand is largest where the gaps close, at s = 1/2.
+    estimate.
     """
 
     stage1_time: float
     iterations: int
     total_time: float
-    integrand_peak_s: float
     quadrature_error_estimate: float
     degenerate: bool = False
     clamped: bool = False
 
 
-_StretchedTerms = tuple[float, np.ndarray, np.ndarray]
+_StretchedTerms = tuple[float, np.ndarray, np.ndarray, float]
 
 
 def _stretched_terms(shapes: list[SubsystemShape]) -> _StretchedTerms | None:
-    """log2 r_min and, per subsystem that is not fully marked, the
-    coefficients kappa_i^2 (1 - r_i) and c_i = kappa_i (1 - r_i) of the
-    stretched density.
+    """log2 r_min, per subsystem that is not fully marked the coefficients
+    kappa_i^2 (1 - r_i) and c_i = kappa_i (1 - r_i) of the stretched
+    density, and the factor (1, or 2^-_LIFT_HALF_EXP for lifted weights)
+    that turns that density into g.
 
     kappa_i = r_min / r_i comes from the log2 counts, so a ratio that
     underflows (r = 2^-1500 has ratio 0.0) still counts, and 1 - r_i is the
@@ -131,14 +129,18 @@ def _stretched_terms(shapes: list[SubsystemShape]) -> _StretchedTerms | None:
     log2_r_min = terms[0][0]
     kappa = np.array([_exp2(log2_r_min - log2_r) for log2_r, _ in terms])
     c = kappa * np.array([unmarked for _, unmarked in terms])
-    return log2_r_min, kappa * c, c
+    weights = kappa * c
+    if weights[0] < sys.float_info.min:
+        return log2_r_min, np.ldexp(weights, 2 * _LIFT_HALF_EXP), c, _exp2(-_LIFT_HALF_EXP)
+    return log2_r_min, weights, c, 1.0
 
 
 def _stretched_density(v: np.ndarray, terms: _StretchedTerms) -> np.ndarray:
     """g(v) = t sqrt(sum_i kappa_i^2 (1 - r_i) / (c_i + (1 - c_i) t)^3) with
     t = sech^2 v: the stage-one integrand in the stretched variable, scaled
-    by sqrt(r_min) (see the module docstring)."""
-    _, weights, c = terms
+    by sqrt(r_min) (see the module docstring), up to the lift factor of
+    `terms`."""
+    _, weights, c, _ = terms
     t = np.cosh(v) ** -2.0
     d = np.multiply.outer(t, 1.0 - c) + c
     return t * np.sqrt(d**-3.0 @ weights)
@@ -154,64 +156,51 @@ def _panel_sum(
     return width * float(_stretched_density(v, terms).reshape(panels, -1).sum(axis=0) @ weights)
 
 
-def _stage1_integral(terms: _StretchedTerms, tolerance: float) -> tuple[float, float]:
+def _stage1_integral(terms: _StretchedTerms) -> tuple[float, float]:
     """integral_0^1 of the stage-one integrand (T1 at epsilon = 1) and its
-    error estimate, the difference of the 16- and 8-point rules.  The panels
-    are halved until that estimate is within tolerance of the integral, at
-    most _MAX_REFINEMENTS times."""
+    error estimate, the difference of the 16- and 8-point rules."""
     half_log2 = -0.5 * terms[0]
     # asinh(2^128) is already past _V_MAX
     v_end = min(math.asinh(_exp2(min(half_log2, 128.0))), _V_MAX)
     panels = math.ceil(v_end / _PANEL_WIDTH)
-    for _ in range(_MAX_REFINEMENTS + 1):
-        hi = _panel_sum(terms, _GAUSS_16, v_end, panels)
-        lo = _panel_sum(terms, _GAUSS_8, v_end, panels)
-        if abs(hi - lo) <= tolerance * hi:
-            break
-        panels *= 2
-    scale = _exp2_or_inf(half_log2)
+    hi = _panel_sum(terms, _GAUSS_16, v_end, panels)
+    lo = _panel_sum(terms, _GAUSS_8, v_end, panels)
+    scale = _exp2_or_inf(half_log2) * terms[3]
     return scale * hi, scale * abs(hi - lo)
 
 
 def stage1_time(
-    shapes: list[SubsystemShape],
-    target: AccuracyTarget | None = None,
-    *,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
+    shapes: list[SubsystemShape], target: AccuracyTarget | None = None
 ) -> TimeBudget:
     """Minimal first-stage time for searching `shapes` in parallel, i.e. the
     duration of their joint local adiabatic schedule.
 
     Returns a TimeBudget with iterations = 1 (composition with the second
-    stage happens in total_time).  `tolerance` bounds the relative error
-    estimate of the Gauss-Legendre quadrature, which is reported as
-    quadrature_error_estimate.  When every subsystem is fully marked the
-    integrand vanishes identically and a zero budget is returned with the
-    degenerate flag set.
+    stage happens in total_time).  The difference of the 16- and 8-point
+    Gauss-Legendre rules is reported as quadrature_error_estimate; it stays
+    at rounding level, about 2e-15 of T1.  When every subsystem is fully
+    marked the integrand vanishes identically and a zero budget is returned
+    with the degenerate flag set.
     """
     if not shapes:
         raise ValueError("at least one subsystem shape is required")
     if target is None:
         target = AccuracyTarget()
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
     terms = _stretched_terms(shapes)
     if terms is None:
         return TimeBudget(
             stage1_time=0.0,
             iterations=1,
             total_time=0.0,
-            integrand_peak_s=0.5,
             quadrature_error_estimate=0.0,
             degenerate=True,
         )
-    integral, abserr = _stage1_integral(terms, tolerance)
+    integral, abserr = _stage1_integral(terms)
     t1 = integral / target.epsilon
     return TimeBudget(
         stage1_time=t1,
         iterations=1,
         total_time=t1,
-        integrand_peak_s=0.5,
         quadrature_error_estimate=abserr / target.epsilon,
     )
 
@@ -224,7 +213,7 @@ def _ceil_sqrt_ratio(num: int, den: int) -> int:
     return t
 
 
-def _iterations(product_m: float, m_joint: float, constant: float) -> int:
+def _iterations(product_m: float, m_joint: float) -> int:
     if m_joint <= 0:
         raise ValueError("no global solution: joint solution count must be positive")
     if m_joint > product_m * (1.0 + 1e-12):
@@ -232,49 +221,37 @@ def _iterations(product_m: float, m_joint: float, constant: float) -> int:
             f"joint solution count {m_joint} exceeds the product of "
             f"subsystem counts {product_m}"
         )
-    if (
-        constant == 1.0
-        and isinstance(product_m, int)
-        and isinstance(m_joint, int)
-    ):
+    if isinstance(product_m, int) and isinstance(m_joint, int):
         return max(1, _ceil_sqrt_ratio(product_m, m_joint))
-    return max(1, math.ceil(constant * math.sqrt(product_m / m_joint)))
+    return max(1, math.ceil(math.sqrt(product_m / m_joint)))
 
 
-def stage2_iterations(
-    m_a: float, m_b: float, m_ab: float, *, constant: float = 1.0
-) -> int:
+def stage2_iterations(m_a: float, m_b: float, m_ab: float) -> int:
     """Number of second-stage repetitions, ceil(sqrt(M_A M_B / M_AB)).
 
-    `constant` is an explicit prefactor knob (default 1).  Integer inputs are
-    resolved exactly; fractional model estimates (including M_AB below 1 for
+    Integer inputs are resolved exactly; fractional model estimates (including M_AB below 1 for
     probably-unsatisfiable regimes) go through floating point.
     """
     if m_a < 1 or m_b < 1:
         raise ValueError("subsystem solution counts must be at least 1")
-    if constant <= 0.0:
-        raise ValueError(f"iteration constant must be positive, got {constant}")
     if isinstance(m_a, int) and isinstance(m_b, int):
-        return _iterations(m_a * m_b, m_ab, constant)
-    return _iterations(float(m_a) * float(m_b), m_ab, constant)
+        return _iterations(m_a * m_b, m_ab)
+    return _iterations(float(m_a) * float(m_b), m_ab)
 
 
 def total_time(
     shapes: list[SubsystemShape],
     m_joint: float,
     target: AccuracyTarget | None = None,
-    *,
-    constant: float = 1.0,
-    tolerance: float = DEFAULT_QUAD_TOLERANCE,
 ) -> TimeBudget:
     """Full nested cost: first-stage time times the iteration count
     ceil(sqrt(prod_i M_i / M_joint)) over any number of subsystems."""
-    budget = stage1_time(shapes, target, tolerance=tolerance)
+    budget = stage1_time(shapes, target)
     if all(isinstance(s.solutions, int) for s in shapes):
         product_m: float = math.prod(int(s.solutions) for s in shapes)
     else:
         product_m = math.prod(float(s.solutions) for s in shapes)
-    iterations = _iterations(product_m, m_joint, constant)
+    iterations = _iterations(product_m, m_joint)
     return replace(
         budget,
         iterations=iterations,

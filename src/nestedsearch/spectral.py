@@ -137,11 +137,8 @@ class SchedulePoint:
     def __post_init__(self) -> None:
         if not 0.0 <= self.s <= 1.0:
             raise ValueError(f"schedule parameter s must be in [0, 1], got {self.s}")
-        f = 1.0 - self.s
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", 1.0 - self.s)
         object.__setattr__(self, "g", self.s)
-        if f + self.s != 1.0:
-            raise ValueError(f"schedule weights failed to sum to 1 at s={self.s}")
 
 
 @dataclass(frozen=True)

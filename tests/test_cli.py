@@ -17,6 +17,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -337,6 +338,41 @@ def test_simulate_requires_exactly_one_source(tmp_path, capsys):
     assert "exactly one" in err
     code, _, err = run_cli(["simulate"], capsys)
     assert code == 2
+
+
+def test_simulate_refuses_step_time_outside_counts(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    run_cli(
+        ["generate", "--n", "12", "--k", "2", "--alpha", "1", "--x", "0.5",
+         "--seed", "27", "--out", str(inst)],
+        capsys,
+    )
+    code, _, err = run_cli(["simulate", str(inst), "--epsilon", "0.5", "--step-time", "1"], capsys)
+    assert code == 2
+    assert "--step-time applies only to --counts" in err
+
+
+def test_simulate_refuses_time_factor_with_counts(capsys):
+    code, _, err = run_cli(["simulate", "--counts", "16:16:1", "--time-factor", "2"], capsys)
+    assert code == 2
+    assert "--time-factor applies only to" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--shapes", "1:1e12"],
+        ["simulate", "--counts", "1000000000:1000000000:1"],
+        ["simulate", "--counts", "16:16:1", "--steps", "100000000"],
+    ],
+    ids=["shapes", "counts", "steps"],
+)
+def test_simulate_refuses_runs_past_the_step_guard(argv, capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "simulation refused" in err
 
 
 def test_simulate_unsatisfiable_counts(capsys):

@@ -9,6 +9,7 @@ compared against its dense-step adiabatic limit.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from scipy.integrate import quad, solve_ivp
 
 from nestedsearch import (
     AccuracyTarget,
+    CensusScaleError,
     Constraint,
     CspInstance,
     EvolutionConfig,
+    ScaleError,
     SchedulePoint,
     Stage2Calibration,
     SubsystemShape,
@@ -32,6 +35,7 @@ from nestedsearch import (
     verify_adiabatic_bound,
 )
 from nestedsearch.dynamics import (
+    MAX_STEPS,
     STAGE2_STEP_MULTIPLIER,
     STAGE2_STEP_TIME,
     IntegrationError,
@@ -293,6 +297,30 @@ def test_evolution_config_validation():
         EvolutionConfig(total_time=10.0, schedule="quadratic")
     assert EvolutionConfig(total_time=0.5).resolved_steps() == 1000
     assert EvolutionConfig(total_time=100.0).resolved_steps() == 10000
+    with pytest.raises(ValueError, match="finite"):
+        EvolutionConfig(total_time=math.inf)
+
+
+def test_step_guard_refuses_runs_past_max_steps():
+    assert EvolutionConfig(total_time=MAX_STEPS / 100.0).resolved_steps() == MAX_STEPS
+    with pytest.raises(ScaleError, match="stage-one simulation refused"):
+        EvolutionConfig(total_time=MAX_STEPS / 100.0 + 1.0)
+    with pytest.raises(ScaleError, match="stage-one simulation refused"):
+        EvolutionConfig(total_time=1.0, steps=MAX_STEPS + 1)
+    with pytest.raises(ScaleError, match="stage-two simulation refused"):
+        simulate_stage2(16, 16, 1, steps=MAX_STEPS + 1, step_time=1.0)
+    # the census guard is the same kind of refusal
+    assert issubclass(CensusScaleError, ScaleError)
+
+
+def test_adiabatic_bound_refuses_before_its_first_run():
+    # 1 and 2 T1 fit under the guard (about 3.6e6 and 7.2e6 steps), 4 T1
+    # does not; all three are refused before any of them runs
+    shapes = [SubsystemShape(2**16, 1)] * 2
+    start = time.perf_counter()
+    with pytest.raises(ScaleError):
+        verify_adiabatic_bound(shapes, AccuracyTarget(0.01))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bound_report_flags_a_ladder_that_is_not_monotone():

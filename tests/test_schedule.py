@@ -109,11 +109,6 @@ def test_stage2_iterations_examples():
     assert stage2_iterations(2**62, 2**62, 4) == 2**61
 
 
-def test_stage2_iterations_constant_knob():
-    assert stage2_iterations(10, 10, 3, constant=2.0) == 12
-    assert stage2_iterations(16, 16, 1, constant=1.5) == 24
-
-
 def test_stage2_iterations_errors():
     with pytest.raises(ValueError, match="no global solution"):
         stage2_iterations(4, 4, 0)
@@ -160,25 +155,13 @@ def test_approx_total_time_examples():
         approx_total_time([SubsystemShape(4, 1)], 1)
 
 
-def test_quadrature_error_estimate_bounds_refinement():
-    rng = random.Random(17)
-    for _ in range(50):
-        r1 = 2.0 ** -rng.uniform(1.0, 30.0)
-        r2 = 2.0 ** -rng.uniform(1.0, 30.0)
-        shapes = [SubsystemShape(1.0 / r1, 1.0), SubsystemShape(1.0 / r2, 1.0)]
-        coarse = stage1_time(shapes, tolerance=1e-8)
-        fine = stage1_time(shapes, tolerance=5e-9)
-        drift = abs(coarse.stage1_time - fine.stage1_time)
-        assert drift <= coarse.quadrature_error_estimate + 1e-13 * coarse.stage1_time
-
-
-def test_integrand_peak_sits_at_the_crossing():
-    rng = random.Random(23)
-    for _ in range(20):
-        r1 = 2.0 ** -rng.uniform(4.0, 24.0)
-        r2 = 2.0 ** -rng.uniform(4.0, 24.0)
-        budget = stage1_time([SubsystemShape(1.0 / r1, 1.0), SubsystemShape(1.0 / r2, 1.0)])
-        assert abs(budget.integrand_peak_s - 0.5) <= 0.05
+@settings(max_examples=300, deadline=None)
+@given(exponents=st.lists(st.floats(0.0, 1500.0), min_size=1, max_size=6))
+def test_quadrature_error_estimate_is_at_rounding_level(exponents):
+    # the 16- and 8-point rules agree to rounding at every scale, which is
+    # why one pass of each is the whole quadrature
+    budget = stage1_time([SubsystemShape.from_log2(e, 0.0) for e in exponents])
+    assert budget.quadrature_error_estimate <= 1e-13 * budget.stage1_time
 
 
 def test_quadrature_tracks_approx_within_constant_band():
@@ -208,7 +191,6 @@ def test_stage1_time_monotone_in_solution_count():
 def test_budget_invariants():
     budget = total_time([SubsystemShape(256, 2), SubsystemShape(512, 3)], 5)
     assert budget.total_time == budget.stage1_time * budget.iterations
-    assert 0.0 <= budget.integrand_peak_s <= 1.0
     assert budget.quadrature_error_estimate >= 0.0
 
 

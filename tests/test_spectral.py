@@ -184,3 +184,15 @@ def test_validation_rejects_bad_inputs():
         SchedulePoint(1.1)
     point = SchedulePoint(0.25)
     assert point.f + point.g == 1.0
+
+
+def test_schedule_weights_sum_to_one_exactly():
+    # for s >= 1/2, 1 - s is exact (Sterbenz); below, fl(1 - s) is within
+    # 2^-54 of 1 - s and adding s back rounds to 1.0, ties to even included
+    rng = random.Random(5)
+    edges = [0.0, 5e-324, 2.0**-54, 2.0**-53, 0.5 - 2.0**-54, 0.5, 0.5 + 2.0**-53, 1.0 - 2.0**-53, 1.0]
+    uniform = [rng.random() for _ in range(50_000)]
+    log_uniform = [2.0 ** -rng.uniform(0.0, 1074.0) for _ in range(50_000)]
+    for s in edges + uniform + log_uniform:
+        point = SchedulePoint(s)
+        assert point.f + point.g == 1.0, s
