@@ -380,16 +380,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 raise CliValidationError(f"{flag} applies only to --counts runs")
         if args.time_factor is None:
             args.time_factor = 1.0
+        if args.epsilon is None:
+            args.epsilon = 1.0
     else:
-        if args.time_factor is not None:
-            raise CliValidationError("--time-factor applies only to instance and --shapes runs")
+        for flag, value in (("--time-factor", args.time_factor), ("--epsilon", args.epsilon)):
+            if value is not None:
+                raise CliValidationError(f"{flag} applies only to instance and --shapes runs")
         if args.step_time is None:
             args.step_time = STAGE2_STEP_TIME
-    target = AccuracyTarget(args.epsilon)
 
     if args.instance is not None:
         report = run_nested_search(
-            read_instance(args.instance), target, time_factor=args.time_factor
+            read_instance(args.instance),
+            AccuracyTarget(args.epsilon),
+            time_factor=args.time_factor,
         )
         outputs = {
             "m_a": report.counts.m_a,
@@ -404,7 +408,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
     elif args.shapes is not None:
         shapes = _parse_shapes(args.shapes)
-        budget = stage1_time(shapes, target)
+        budget = stage1_time(shapes, AccuracyTarget(args.epsilon))
         total = args.time_factor * budget.stage1_time
         report = simulate_stage1(shapes, EvolutionConfig(total_time=total))
         outputs = {
@@ -553,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"stage-two step duration (default {STAGE2_STEP_TIME:.6g}; --counts only)",
     )
     _add_common_flags(p)
-    p.set_defaults(handler=_cmd_simulate)
+    # _cmd_simulate resolves the default, and refuses --epsilon with --counts
+    p.set_defaults(handler=_cmd_simulate, epsilon=None)
 
     p = sub.add_parser("plot-script", help="emit a matplotlib script for a CSV")
     p.add_argument("--csv", required=True, help="sweep or scaling CSV path")

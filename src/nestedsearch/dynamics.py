@@ -1,18 +1,28 @@
 """Direct time-dependent simulation of both search stages.
 
-Stage one integrates the Schrodinger equation per subsystem in its two-level
-subspace with a fixed-step fourth-order Runge-Kutta scheme, under either the
-linear schedule s = t/T or the local adiabatic schedule of Roland and Cerf
-(PRA 65, 042308 (2002)), dt/ds proportional to the joint stage-one integrand
+Both stages evolve the restricted two-level Hamiltonian H(s) of `spectral`
+(spectral._hamiltonian), and both advance by the exact propagator
+exp(-i H dt) of a constant H (_apply_steps), so every step is unitary to
+rounding.  Stage one evolves each subsystem under H(s).  Stage two evolves
+the two-dimensional span of the product state of local-solution
+superpositions and the global-solution superposition, whose Hamiltonian is
+H(1 - s) with marked fraction M_AB / (M_A M_B), held constant over each
+coarse step.
+
+Stage one runs the commutator-free fourth-order Magnus scheme of Blanes,
+Casas, Oteo and Ros (Phys. Rep. 470, 151 (2009)).  H is affine in s, so each
+step of length h is two exact half steps, at s = sigma_1 = 2 (alpha_2 s_a +
+alpha_1 s_b) and then sigma_2 = 2 (alpha_1 s_a + alpha_2 s_b), where s_a and
+s_b are the schedule values at the Gauss nodes t + (1/2 -/+ sqrt(3)/6) h and
+alpha_1,2 = (3 -/+ 2 sqrt(3))/12.  The schedule is either linear, s = t/T,
+or the local adiabatic schedule of Roland and Cerf (PRA 65, 042308 (2002)),
+dt/ds proportional to the joint stage-one integrand
 sqrt(sum_i xi_i^2 / w_i(s)^6).  The stage-one budget T1 of `schedule` is the
 running time of that local schedule, so the checks that spend or verify T1
 (verify_adiabatic_bound, run_nested_search) run it; simulate_stage1 runs
 whichever schedule its EvolutionConfig names, linear by default.  Subsystems
 evolve independently on one shared schedule, so the joint fidelity is the
-product of the per-subsystem ones.  Stage two applies the exact
-piecewise-constant propagator exp(-i H(s_l) dt) on the two-dimensional span
-of the product state of local-solution superpositions and the global-solution
-superposition.
+product of the per-subsystem ones.
 
 The stage-two step count is a calibrated multiple of the iteration estimate
 sqrt(M_A M_B / M_AB): STAGE2_STEP_MULTIPLIER coarse steps per iteration, each
@@ -27,9 +37,8 @@ ScaleError before any step is taken.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +53,7 @@ from .schedule import (
     stage1_time,
     total_time,
 )
-from .spectral import SubsystemShape, _exp2
+from .spectral import SubsystemShape, _exp2, _hamiltonian
 
 __all__ = [
     "EvolutionConfig",
@@ -74,28 +83,39 @@ MAX_STEPS = 10_000_000
 # verify_adiabatic_bound: run times, in units of T1, of the infidelity ladder
 _BOUND_TIME_FACTORS = (1.0, 2.0, 4.0)
 
-_MAX_STEP_NORM_DRIFT = 1e-9
-_MAX_TOTAL_NORM_ERROR = 1e-8
+# calibrate_stage2: the reference point (M_A, M_B, M_AB), the success its
+# dense run must reach and with how many steps, the first total time tried,
+# and the success the coarse steps must reach
+_CALIBRATION_COUNTS = (16, 16, 1)
+_CALIBRATION_DENSE_TARGET = 0.99
+_CALIBRATION_DENSE_STEPS = 10_000
+_CALIBRATION_TIME_START = 16.0
+_CALIBRATION_SUCCESS_TARGET = 0.9
 
 _SCHEDULES = ("linear", "local")
 
-# RK4 steps whose schedule values are built and turned into Python floats at
-# a time, so that long runs never hold a list of every step
+# steps whose Hamiltonians are built and turned into Python floats at a time,
+# so that long runs never hold a list of every step
 _NODE_CHUNK = 1024
-# local schedule: largest change of s within one RK4 step, and the panels per
-# unit of the stretched variable v of its table, with the 4-point
-# Gauss-Legendre rule on each panel
+# stage one: 2 alpha_2 and 2 alpha_1 of the module docstring, so that
+# sigma_1 = _CF4_NEAR s_a + _CF4_FAR s_b and sigma_2 = _CF4_FAR s_a + _CF4_NEAR s_b
+_CF4_NEAR = 0.5 + math.sqrt(3.0) / 3.0
+_CF4_FAR = 0.5 - math.sqrt(3.0) / 3.0
+# largest change of s within one stage-one step; the 2-point Gauss-Legendre
+# nodes of a step; the panels per unit of the stretched variable v of the
+# local schedule's table, with the 4-point rule on each panel
 _MAX_STEP_DS = 0.02
 _PANELS_PER_UNIT = 128
+_GAUSS_2 = _gauss_legendre(2)
 _GAUSS_4 = _gauss_legendre(4)
 
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """Fixed-step integration setup for stage one.
+    """Stage-one run: its total time and its schedule.
 
-    steps defaults to max(1000, ceil(100 * total_time)), which keeps the
-    per-step norm drift of the RK4 scheme far below the enforced bound.
+    The run takes resolved_steps() = max(1000, ceil(100 * total_time))
+    fourth-order Magnus steps, so no step is longer than 0.01.
     schedule is "linear" (s = t/T, the default) or "local": s(t) inverts
     t(s) = T F(s)/F(1), where F(s) is the integral from 0 to s of the joint
     stage-one integrand of the simulated shapes, so that a run of T = T1
@@ -106,7 +126,6 @@ class EvolutionConfig:
     """
 
     total_time: float
-    steps: int | None = None
     schedule: str = "linear"
 
     def __post_init__(self) -> None:
@@ -118,13 +137,9 @@ class EvolutionConfig:
             raise ValueError(
                 f"schedule must be one of {', '.join(_SCHEDULES)}, got {self.schedule!r}"
             )
-        if self.steps is not None and self.steps < 100:
-            raise ValueError(f"steps must be at least 100, got {self.steps}")
         _check_steps(self.resolved_steps(), "stage-one")
 
     def resolved_steps(self) -> int:
-        if self.steps is not None:
-            return self.steps
         return max(1000, math.ceil(100.0 * self.total_time))
 
 
@@ -176,37 +191,11 @@ class NestedSearchReport:
     total_time: float
 
 
-class IntegrationError(RuntimeError):
-    """Integrator step too coarse for the requested evolution."""
-
-
 def _check_steps(steps: int, stage: str) -> None:
     if steps > MAX_STEPS:
         raise ScaleError(
             f"{stage} simulation refused: {steps} steps exceed the step guard ({MAX_STEPS})"
         )
-
-
-# (s(t), s(t + h/2), s(t + h), h) of one RK4 step
-Step = tuple[float, float, float, float]
-
-
-def _linear_steps(total_time: float, steps: int) -> Callable[[], Iterator[Step]]:
-    """The RK4 steps of s = t/T: `steps` steps of length T/steps."""
-    h = total_time / steps
-    inv_t = 1.0 / total_time
-
-    def step_iter() -> Iterator[Step]:
-        for k0 in range(0, steps, _NODE_CHUNK):
-            t = np.arange(k0, min(k0 + _NODE_CHUNK, steps)) * h
-            yield from zip(
-                (t * inv_t).tolist(),
-                ((t + 0.5 * h) * inv_t).tolist(),
-                ((t + h) * inv_t).tolist(),
-                itertools.repeat(h, t.size),
-            )
-
-    return step_iter
 
 
 def _local_inverse(shapes: list[SubsystemShape]) -> Callable[[np.ndarray], np.ndarray]:
@@ -255,91 +244,64 @@ def _local_inverse(shapes: list[SubsystemShape]) -> Callable[[np.ndarray], np.nd
     return s_at
 
 
-def _local_steps(
-    shapes: list[SubsystemShape], total_time: float, steps: int
-) -> Callable[[], Iterator[Step]]:
-    """The RK4 steps of the local schedule of `shapes`.
+def _stage1_steps(
+    s_at: Callable[[np.ndarray], np.ndarray], total_time: float, steps: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(s_a, s_b, h) of the stage-one steps, _NODE_CHUNK steps at a time:
+    the schedule values s = s_at(t/T) at the two Gauss nodes of each step,
+    and the step's length.
 
-    The inverse of t(s) is set up once; the schedule values are looked up a
-    chunk of steps at a time, each time the steps are walked.  Each of the
-    `steps` steps of length T/steps is split into as many equal parts as keep
-    s from moving more than _MAX_STEP_DS within one part.  Near the ends of
-    the sweep, where the gap is wide, the local schedule moves s fastest;
-    without the split a step there can change H by tenths and the RK4 error
-    outgrows the norm-drift bound.  The split adds at most 1/_MAX_STEP_DS
-    steps to a run.
+    Each of the `steps` steps of length T/steps is split into as many equal
+    parts as keep s from moving more than _MAX_STEP_DS within one part.  The
+    linear schedule moves s by at most 1/1000 per step and is never split.
+    Near the ends of the sweep, where the gap is wide, the local schedule
+    moves s fastest; unsplit, a step there can change H by tenths.  The split
+    adds at most 1/_MAX_STEP_DS steps to a run.
     """
-    s_at = _local_inverse(shapes)
     h = total_time / steps
-
-    def step_iter() -> Iterator[Step]:
-        for k0 in range(0, steps, _NODE_CHUNK):
-            k1 = min(k0 + _NODE_CHUNK, steps)
-            s_half = s_at(np.arange(2 * k0, 2 * k1 + 1) / (2 * steps))
-            s_full = s_half[::2]
-            parts = np.ceil(np.diff(s_full) / _MAX_STEP_DS)
-            if parts.max() <= 1.0:
-                columns = (s_full[:-1], s_half[1::2], s_full[1:], np.full(k1 - k0, h))
-            else:
-                parts = np.maximum(parts, 1.0).astype(np.int64)
-                width = np.repeat(1.0 / parts, parts)
-                offset = np.arange(width.size) - np.repeat(np.cumsum(parts) - parts, parts)
-                x0 = np.repeat(np.arange(k0, k1), parts) + offset * width
-                s0 = s_at(x0 / steps)
-                s_mid = s_at((x0 + 0.5 * width) / steps)
-                columns = (s0, s_mid, np.append(s0[1:], s_full[-1]), h * width)
-            yield from zip(*(column.tolist() for column in columns))
-
-    return step_iter
+    near, far = _GAUSS_2[0]
+    for k0 in range(0, steps, _NODE_CHUNK):
+        k1 = min(k0 + _NODE_CHUNK, steps)
+        x0 = np.arange(k0, k1 + 1.0)
+        parts = np.ceil(np.diff(s_at(x0 / steps)) / _MAX_STEP_DS)
+        x0 = x0[:-1]
+        width = np.ones(k1 - k0)
+        if parts.max() > 1.0:
+            parts = np.maximum(parts, 1.0).astype(np.int64)
+            width = np.repeat(1.0 / parts, parts)
+            offset = np.arange(width.size) - np.repeat(np.cumsum(parts) - parts, parts)
+            x0 = np.repeat(x0, parts) + offset * width
+        yield s_at((x0 + near * width) / steps), s_at((x0 + far * width) / steps), h * width
 
 
-def _evolve_two_level(ratio: float, steps: Iterable[Step]) -> tuple[complex, complex, float]:
-    """RK4 integration of i dpsi/dt = H(s(t)) psi from the uniform state, one
-    step of length h per (s(t), s(t + h/2), s(t + h), h) in `steps`.
+def _apply_steps(
+    psi: tuple[complex, complex], ratio: float, s: np.ndarray, dt: np.ndarray
+) -> tuple[complex, complex]:
+    """psi after the exact propagators exp(-i H(s_k) dt_k) for k = 0, 1, ...
+    in turn, with H(s) = spectral._hamiltonian(s, ratio).
 
-    Returns the final amplitudes in the Gram-Schmidt basis and the largest
-    single-step norm drift encountered.
+    For real symmetric H = [[h00, h01], [h01, h11]] with half trace m,
+    d = (h00 - h11)/2 and w = hypot(d, h01),
+    exp(-i H dt) = exp(-i m dt) (cos(w dt) - i sin(w dt)/w (H - m)).
     """
-    a = math.sqrt(ratio)
-    b = math.sqrt(1.0 - ratio)
-    ab = a * b
-    b2 = 1.0 - ratio
-    r = ratio
+    psi0, psi1 = psi
+    columns = (*_hamiltonian(s, ratio), dt)
+    for h00, h01, h11, tau in zip(*(column.tolist() for column in columns)):
+        half_trace = 0.5 * (h00 + h11)
+        d = 0.5 * (h00 - h11)
+        w = math.hypot(d, h01)
+        phase = cmath.exp(-1j * half_trace * tau)
+        c = math.cos(w * tau)
+        sinc = math.sin(w * tau) / w if w else tau
+        u00 = phase * (c - 1j * sinc * d)
+        u01 = phase * (-1j * sinc * h01)
+        u11 = phase * (c + 1j * sinc * d)
+        psi0, psi1 = u00 * psi0 + u01 * psi1, u01 * psi0 + u11 * psi1
+    return psi0, psi1
 
-    c0: complex = 1.0 + 0.0j
-    c1: complex = 0.0j
-    norm_prev = 1.0
-    max_drift = 0.0
-    for s0, s1, s2, h in steps:
-        # k = -i H(s) y with H(s) = [[s b2, -s ab], [-s ab, (1 - s) + s r]],
-        # written out: this loop is where stage one spends its time
-        h00, h01, h11 = s0 * b2, -s0 * ab, (1.0 - s0) + s0 * r
-        k10 = -1j * (h00 * c0 + h01 * c1)
-        k11 = -1j * (h01 * c0 + h11 * c1)
-        h00, h01, h11 = s1 * b2, -s1 * ab, (1.0 - s1) + s1 * r
-        y0, y1 = c0 + 0.5 * h * k10, c1 + 0.5 * h * k11
-        k20 = -1j * (h00 * y0 + h01 * y1)
-        k21 = -1j * (h01 * y0 + h11 * y1)
-        y0, y1 = c0 + 0.5 * h * k20, c1 + 0.5 * h * k21
-        k30 = -1j * (h00 * y0 + h01 * y1)
-        k31 = -1j * (h01 * y0 + h11 * y1)
-        h00, h01, h11 = s2 * b2, -s2 * ab, (1.0 - s2) + s2 * r
-        y0, y1 = c0 + h * k30, c1 + h * k31
-        k40 = -1j * (h00 * y0 + h01 * y1)
-        k41 = -1j * (h01 * y0 + h11 * y1)
-        c0 = c0 + (h / 6.0) * (k10 + 2.0 * k20 + 2.0 * k30 + k40)
-        c1 = c1 + (h / 6.0) * (k11 + 2.0 * k21 + 2.0 * k31 + k41)
-        # a violently unstable step can push the amplitudes past float range
-        # before any check runs; report that as infinite drift
-        try:
-            norm = math.hypot(abs(c0), abs(c1))
-        except OverflowError:
-            return c0, c1, math.inf
-        if not math.isfinite(norm):
-            return c0, c1, math.inf
-        max_drift = max(max_drift, abs(norm - norm_prev))
-        norm_prev = norm
-    return c0, c1, max_drift
+
+def _norm_error(psi: tuple[complex, complex]) -> float:
+    return abs(math.sqrt(abs(psi[0]) ** 2 + abs(psi[1]) ** 2) - 1.0)
 
 
 def simulate_stage1(
@@ -356,44 +318,26 @@ def simulate_stage1(
     """
     if not shapes:
         raise ValueError("at least one subsystem shape is required")
-    steps = config.resolved_steps()
-    step_iter = None
-    if config.total_time > 0.0 and not all(shape.degenerate for shape in shapes):
-        if config.schedule == "local":
-            step_iter = _local_steps(shapes, config.total_time, steps)
-        else:
-            step_iter = _linear_steps(config.total_time, steps)
-    fidelities = []
-    worst_norm_error = 0.0
-    for shape in shapes:
-        r = shape.ratio
-        if shape.degenerate or step_iter is None:
-            c0, c1, drift = (1.0 + 0.0j, 0.0j, 0.0)
-        else:
-            c0, c1, drift = _evolve_two_level(r, step_iter())
-        if drift > _MAX_STEP_NORM_DRIFT:
-            suggested = max(1000, math.ceil(100.0 * config.total_time))
-            raise IntegrationError(
-                f"integrator step too coarse: per-step norm drift {drift:.3e} "
-                f"exceeds {_MAX_STEP_NORM_DRIFT:.0e}; use at least {suggested} steps"
-            )
-        a = math.sqrt(r)
-        b = math.sqrt(1.0 - r)
-        overlap = a * c0 + b * c1
-        fidelities.append(abs(overlap) ** 2)
-        norm_error = abs(math.sqrt(abs(c0) ** 2 + abs(c1) ** 2) - 1.0)
-        worst_norm_error = max(worst_norm_error, norm_error)
-    if worst_norm_error > _MAX_TOTAL_NORM_ERROR:
-        suggested = 2 * steps
-        raise IntegrationError(
-            f"integrator step too coarse: accumulated norm error {worst_norm_error:.3e} "
-            f"exceeds {_MAX_TOTAL_NORM_ERROR:.0e}; use at least {suggested} steps"
-        )
-    joint = math.prod(fidelities)
+    states = [(1.0 + 0.0j, 0.0j)] * len(shapes)
+    live = [i for i, shape in enumerate(shapes) if not shape.degenerate]
+    if config.total_time > 0.0 and live:
+        s_at = _local_inverse(shapes) if config.schedule == "local" else (lambda q: q)
+        for s_a, s_b, h in _stage1_steps(s_at, config.total_time, config.resolved_steps()):
+            # each step is the half step at sigma_1, then the one at sigma_2
+            s = np.column_stack(
+                (_CF4_NEAR * s_a + _CF4_FAR * s_b, _CF4_FAR * s_a + _CF4_NEAR * s_b)
+            ).ravel()
+            dt = np.repeat(0.5 * h, 2)
+            for i in live:
+                states[i] = _apply_steps(states[i], shapes[i].ratio, s, dt)
+    fidelities = tuple(
+        abs(math.sqrt(shape.ratio) * c0 + math.sqrt(1.0 - shape.ratio) * c1) ** 2
+        for shape, (c0, c1) in zip(shapes, states)
+    )
     return SimulationReport(
-        final_fidelity=joint,
-        per_subsystem_fidelity=tuple(fidelities),
-        norm_error=worst_norm_error,
+        final_fidelity=math.prod(fidelities),
+        per_subsystem_fidelity=fidelities,
+        norm_error=max(map(_norm_error, states)),
     )
 
 
@@ -435,24 +379,6 @@ def verify_adiabatic_bound(
     )
 
 
-def _apply_step(
-    psi0: complex, psi1: complex, h00: float, h01: float, h11: float, dt: float
-) -> tuple[complex, complex]:
-    """Apply exp(-i H dt) for real symmetric 2x2 H exactly."""
-    half_trace = 0.5 * (h00 + h11)
-    d = 0.5 * (h00 - h11)
-    w = math.hypot(d, h01)
-    phase = cmath.exp(-1j * half_trace * dt)
-    if w == 0.0:
-        return phase * psi0, phase * psi1
-    c = math.cos(w * dt)
-    s = math.sin(w * dt) / w
-    u00 = phase * (c - 1j * s * d)
-    u01 = phase * (-1j * s * h01)
-    u11 = phase * (c + 1j * s * d)
-    return u00 * psi0 + u01 * psi1, u01 * psi0 + u11 * psi1
-
-
 def simulate_stage2(
     m_a: float,
     m_b: float,
@@ -480,54 +406,40 @@ def simulate_stage2(
     if r > 1.0 + 1e-12:
         raise ValueError("joint solution count exceeds the product of subsystem counts")
     r = min(r, 1.0)
-    amp_s = math.sqrt(r)
-    amp_ns = math.sqrt(1.0 - r)
-    psi0: complex = complex(amp_s)
-    psi1: complex = complex(amp_ns)
-    # H_initial = 1 - |init><init| in the {solution, non-solution} basis.
-    hi00 = 1.0 - r
-    hi01 = -amp_s * amp_ns
-    hi11 = r
-    for step in range(1, steps + 1):
-        s = step / steps
-        f = 1.0 - s
-        h00 = f * hi00
-        h01 = f * hi01
-        h11 = f * hi11 + s
-        psi0, psi1 = _apply_step(psi0, psi1, h00, h01, h11, step_time)
-    success = abs(psi0) ** 2
-    norm_error = abs(math.sqrt(abs(psi0) ** 2 + abs(psi1) ** 2) - 1.0)
+    # In the {solution, non-solution} basis the initial state is
+    # (sqrt(r), sqrt(1 - r)), and (1 - s)(1 - |init><init|) + s(1 - |sol><sol|)
+    # is the restricted H(1 - s) of marked fraction r; step l holds
+    # s = l / steps.
+    psi = (complex(math.sqrt(r)), complex(math.sqrt(1.0 - r)))
+    for k0 in range(1, steps + 1, _NODE_CHUNK):
+        s = np.arange(k0, min(k0 + _NODE_CHUNK, steps + 1)) / steps
+        psi = _apply_steps(psi, r, 1.0 - s, np.full(s.size, step_time))
+    success = abs(psi[0]) ** 2
     return SimulationReport(
         final_fidelity=success,
         per_subsystem_fidelity=(success,),
-        norm_error=norm_error,
+        norm_error=_norm_error(psi),
         success_probability=success,
     )
 
 
-def calibrate_stage2(
-    m_a: int = 16,
-    m_b: int = 16,
-    m_ab: int = 1,
-    *,
-    success_target: float = 0.9,
-    dense_target: float = 0.99,
-    dense_steps: int = 10_000,
-    time_start: float = 16.0,
-) -> Stage2Calibration:
-    """Recompute the frozen stage-two constants.
+def calibrate_stage2() -> Stage2Calibration:
+    """Recompute the frozen stage-two constants on the (16, 16, 1) reference.
 
-    Doubles the total evolution time until a dense-step (10^4) run reaches
-    `dense_target`, establishing the reference adiabatic time; then finds the
-    smallest integer multiplier c such that c * ceil(sqrt(M_A M_B / M_AB))
-    coarse steps spanning that same total time reach `success_target`.
-    Returns the multiplier, the implied step duration, and the reference time.
+    Doubles the total evolution time, starting from 16, until a dense-step
+    (10^4) run reaches success 0.99, establishing the reference adiabatic
+    time; then finds the smallest integer multiplier c such that
+    c * ceil(sqrt(M_A M_B / M_AB)) coarse steps spanning that same total time
+    reach success 0.9.  Returns the multiplier, the implied step duration,
+    and the reference time.
     """
+    m_a, m_b, m_ab = _CALIBRATION_COUNTS
+    dense_steps = _CALIBRATION_DENSE_STEPS
     base = math.ceil(math.sqrt(m_a * m_b / m_ab))
-    reference = time_start
+    reference = _CALIBRATION_TIME_START
     while True:
         report = simulate_stage2(m_a, m_b, m_ab, dense_steps, reference / dense_steps)
-        if report.success_probability >= dense_target:
+        if report.success_probability >= _CALIBRATION_DENSE_TARGET:
             break
         reference *= 2.0
         if reference > 1e9:
@@ -535,7 +447,7 @@ def calibrate_stage2(
     for multiplier in range(1, 4097):
         steps = multiplier * base
         report = simulate_stage2(m_a, m_b, m_ab, steps, reference / steps)
-        if report.success_probability >= success_target:
+        if report.success_probability >= _CALIBRATION_SUCCESS_TARGET:
             return Stage2Calibration(
                 step_multiplier=multiplier,
                 step_time=reference / steps,

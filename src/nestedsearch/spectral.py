@@ -159,6 +159,14 @@ class TwoLevelSpectrum:
     degenerate: bool = False
 
 
+def _hamiltonian(s: float, ratio: float) -> tuple[float, float, float]:
+    """Entries (h00, h01, h11) of the restricted Hamiltonian H(s) of the
+    module docstring, with a^2 = ratio.  s may also be a numpy array; the
+    entries are then arrays too."""
+    ab = math.sqrt(ratio) * math.sqrt(1.0 - ratio)
+    return s * (1.0 - ratio), -s * ab, (1.0 - s) + s * ratio
+
+
 def _omega_sq(s: float, ratio: float) -> float:
     u = 1.0 - 2.0 * s
     return u * u + 4.0 * ratio * s * (1.0 - s)
@@ -202,12 +210,11 @@ def two_level_spectrum(point: SchedulePoint, shape: SubsystemShape) -> TwoLevelS
     w = math.sqrt(_omega_sq(point.s, r))
     ground = 0.5 * (1.0 - w)
     excited = 0.5 * (1.0 + w)
-    a = math.sqrt(r)
-    b = math.sqrt(1.0 - r)
     # Ground eigenvector of [[h00, h01], [h01, h11]] written as
     # (h11 - E0, -h01); both components are non-negative.
-    v1 = (point.f + point.g * r) - ground
-    v2 = point.g * a * b
+    _, h01, h11 = _hamiltonian(point.s, r)
+    v1 = h11 - ground
+    v2 = -h01
     norm = math.hypot(v1, v2)
     return TwoLevelSpectrum(
         gap=excited - ground,

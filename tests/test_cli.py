@@ -358,6 +358,12 @@ def test_simulate_refuses_time_factor_with_counts(capsys):
     assert "--time-factor applies only to" in err
 
 
+def test_simulate_refuses_epsilon_with_counts(capsys):
+    code, _, err = run_cli(["simulate", "--counts", "16:16:1", "--epsilon", "0.5"], capsys)
+    assert code == 2
+    assert "--epsilon applies only to" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
