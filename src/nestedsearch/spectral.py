@@ -51,6 +51,13 @@ class SubsystemShape:
     fraction `ratio` and the unmarked fraction `unmarked_fraction` = 1 - ratio
     are derived once at construction, each as accurately as the inputs allow:
     near 1 the ratio rounds to 1.0 while 1 - M/N is still resolved.
+
+    That holds while unmarked_fraction is at least 2^-1022, the smallest
+    normal double: a marked fraction of at most 1 - 2^-1022, or a log2 ratio
+    of at most about -3.2e-308.  Closer to 1, unmarked_fraction is subnormal
+    and keeps only a few bits; T1 is then exact for the stored fraction but
+    up to 20% off for the shape asked for (from_log2(5e-324, 0) stores
+    4.9e-324 for 3.4e-324).
     """
 
     dimension: float
@@ -91,7 +98,9 @@ class SubsystemShape:
 
         The logs are kept exactly as given; the linear fields are materialized
         best-effort (they overflow to inf above 2**1023 without harming the
-        ratio, which is what every formula consumes).
+        ratio, which is what every formula consumes).  unmarked_fraction is
+        accurate for a log2 ratio of at most about -3.2e-308; above that it
+        is subnormal, as the class docstring describes.
         """
         if log2_solutions > log2_dimension:
             raise ValueError(

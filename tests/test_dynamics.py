@@ -1,11 +1,12 @@
 """Schrodinger-picture checks for both simulated stages.
 
-Reference computations never reuse the integrator under test: stage one is
-checked against a general ODE solver on both schedules (on the local one it
-integrates s(t) alongside the state), the decoupling claim against a
-four-dimensional tensor-product evolution built here with numpy, and stage
-two against a per-step eigendecomposition of its Hamiltonian, built here from
-its two projectors, and its dense-step adiabatic limit.
+Reference computations never reuse the integrator under test: the shared
+propagator is checked against one matrix exponential per step, stage one
+against a general ODE solver on both schedules (on the local one it
+integrates s(t) alongside the state), the decoupling claim against the same
+solver on the four-dimensional tensor-product system, and stage two against
+a per-step eigendecomposition of its Hamiltonian, built here from its two
+projectors, and its dense-step adiabatic limit.
 """
 
 import math
@@ -13,7 +14,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm
 
 from nestedsearch import (
     AccuracyTarget,
@@ -34,7 +38,12 @@ from nestedsearch import (
     two_level_spectrum,
     verify_adiabatic_bound,
 )
-from nestedsearch.dynamics import MAX_STEPS, STAGE2_STEP_MULTIPLIER, STAGE2_STEP_TIME
+from nestedsearch.dynamics import (
+    MAX_STEPS,
+    STAGE2_STEP_MULTIPLIER,
+    STAGE2_STEP_TIME,
+    _apply_steps,
+)
 
 
 def restricted_matrix(s, ratio):
@@ -46,6 +55,57 @@ def restricted_matrix(s, ratio):
             [-s * a * b, (1.0 - s) + s * ratio],
         ]
     )
+
+
+def stepwise_reference(psi, ratio, s, dt):
+    """psi after one scipy expm of the restricted H(s_k) dt_k per step."""
+    state = np.array(psi, dtype=complex)
+    for s_k, dt_k in zip(s, dt):
+        state = expm(-1j * dt_k * restricted_matrix(s_k, ratio)) @ state
+    return state
+
+
+def assert_matches_stepwise_reference(ratio, s, dt, psi):
+    got = _apply_steps(psi, ratio, s, dt)
+    want = stepwise_reference(psi, ratio, s, dt)
+    for amplitude, expected in zip(got, want):
+        assert amplitude == pytest.approx(expected, abs=1e-12)
+
+
+def random_state(rng):
+    psi = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return tuple(complex(c) for c in psi / np.linalg.norm(psi))
+
+
+# a level of the pairwise product with an odd count carries its last step up
+# unchanged: 1023 has one such level, 5 two, 1025 all but its last, and the
+# powers of two none
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 1023, 1024, 1025, 2048])
+@pytest.mark.parametrize("ratio", [None, 1.0, 0.0])
+def test_propagator_matches_stepwise_expm(length, ratio):
+    rng = np.random.default_rng(length)
+    if ratio is None:
+        ratio = float(rng.uniform())
+    s = rng.uniform(size=length)
+    if ratio == 0.0:
+        # at marked fraction 0 and s = 1/2, H is a multiple of the identity
+        # and its gap w is exactly 0
+        s[::2] = 0.5
+    dt = rng.uniform(0.0, 50.0, size=length)
+    assert_matches_stepwise_reference(ratio, s, dt, random_state(rng))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 50.0)), min_size=1, max_size=64
+    ),
+    ratio=st.one_of(st.just(1.0), st.just(0.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_propagator_matches_stepwise_expm_on_any_steps(steps, ratio, seed):
+    s, dt = (np.array(column) for column in zip(*steps))
+    assert_matches_stepwise_reference(ratio, s, dt, random_state(np.random.default_rng(seed)))
 
 
 def test_degenerate_shapes_keep_perfect_fidelity():
@@ -88,17 +148,16 @@ def test_joint_fidelity_matches_tensor_product_oracle():
     def joint_h(s):
         return np.kron(restricted_matrix(s, r1), eye) + np.kron(eye, restricted_matrix(s, r2))
 
-    steps = 20000
-    h = total / steps
-    psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    t = 0.0
-    for _ in range(steps):
-        k1 = -1j * (joint_h(t / total) @ psi)
-        k2 = -1j * (joint_h((t + 0.5 * h) / total) @ (psi + 0.5 * h * k1))
-        k3 = -1j * (joint_h((t + 0.5 * h) / total) @ (psi + 0.5 * h * k2))
-        k4 = -1j * (joint_h((t + h) / total) @ (psi + h * k3))
-        psi += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
+    psi0 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    sol = solve_ivp(
+        lambda t, psi: -1j * (joint_h(t / total) @ psi),
+        (0.0, total),
+        psi0,
+        method="DOP853",
+        rtol=1e-11,
+        atol=1e-13,
+    )
+    psi = sol.y[:, -1]
     g1 = np.array(two_level_spectrum(SchedulePoint(1.0), shapes[0]).ground_state)
     g2 = np.array(two_level_spectrum(SchedulePoint(1.0), shapes[1]).ground_state)
     oracle = abs(np.vdot(np.kron(g1, g2), psi)) ** 2
