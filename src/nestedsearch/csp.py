@@ -62,7 +62,7 @@ class CensusScaleError(ScaleError):
     too large."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constraint:
     """Forbids one assignment pattern on a strictly increasing variable tuple."""
 
@@ -87,7 +87,7 @@ class Constraint:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CspInstance:
     n: int
     k: int
@@ -123,7 +123,7 @@ class CspInstance:
         return tuple(v for v in range(self.n) if v not in part)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstraintSplit:
     """Constraint indices falling entirely in A, entirely in B, or across."""
 
@@ -132,7 +132,7 @@ class ConstraintSplit:
     cross: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolutionCensus:
     """Exact counts from full enumeration.
 

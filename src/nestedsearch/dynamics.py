@@ -25,7 +25,9 @@ running time of that local schedule, so the checks that spend or verify T1
 (verify_adiabatic_bound, run_nested_search) run it; simulate_stage1 runs
 whichever schedule its EvolutionConfig names, linear by default.  Subsystems
 evolve independently on one shared schedule, so the joint fidelity is the
-product of the per-subsystem ones.
+product of the per-subsystem ones, and a subsystem's state depends only on
+its marked fraction: each distinct fraction is evolved once, and every
+subsystem with that fraction reads its state.
 
 The stage-two step count is a calibrated multiple of the iteration estimate
 sqrt(M_A M_B / M_AB): STAGE2_STEP_MULTIPLIER coarse steps per iteration, each
@@ -112,7 +114,7 @@ _GAUSS_2 = _gauss_legendre(2)
 _GAUSS_4 = _gauss_legendre(4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvolutionConfig:
     """Stage-one run: its total time and its schedule.
 
@@ -145,7 +147,7 @@ class EvolutionConfig:
         return max(1000, math.ceil(100.0 * self.total_time))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationReport:
     """Outcome of one simulated evolution.
 
@@ -160,7 +162,7 @@ class SimulationReport:
     success_probability: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdiabaticBoundReport:
     """Infidelities of stage-one runs at multiples of T1.
 
@@ -176,14 +178,14 @@ class AdiabaticBoundReport:
     monotone: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stage2Calibration:
     step_multiplier: int
     step_time: float
     reference_time: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NestedSearchReport:
     counts: SolutionCensus
     budget: TimeBudget
@@ -251,7 +253,9 @@ def _stage1_steps(
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(s_a, s_b, h) of the stage-one steps, _NODE_CHUNK steps at a time:
     the schedule values s = s_at(t/T) at the two Gauss nodes of each step,
-    and the step's length.
+    and the step's length.  s_at is called once per chunk, on the step edges
+    and both node sets together; a chunk with a step to split calls it twice
+    more, on the Gauss nodes of its parts.
 
     Each of the `steps` steps of length T/steps is split into as many equal
     parts as keep s from moving more than _MAX_STEP_DS within one part.  The
@@ -264,16 +268,22 @@ def _stage1_steps(
     near, far = _GAUSS_2[0]
     for k0 in range(0, steps, _NODE_CHUNK):
         k1 = min(k0 + _NODE_CHUNK, steps)
-        x0 = np.arange(k0, k1 + 1.0)
-        parts = np.ceil(np.diff(s_at(x0 / steps)) / _MAX_STEP_DS)
-        x0 = x0[:-1]
-        width = np.ones(k1 - k0)
+        count = k1 - k0
+        edges = np.arange(k0, k1 + 1.0)
+        x0 = edges[:-1]
+        s_edge, s_a, s_b = np.split(
+            s_at(np.concatenate((edges, x0 + near, x0 + far)) / steps),
+            (count + 1, 2 * count + 1),
+        )
+        parts = np.ceil(np.diff(s_edge) / _MAX_STEP_DS)
         if parts.max() > 1.0:
             parts = np.maximum(parts, 1.0).astype(np.int64)
             width = np.repeat(1.0 / parts, parts)
             offset = np.arange(width.size) - np.repeat(np.cumsum(parts) - parts, parts)
             x0 = np.repeat(x0, parts) + offset * width
-        yield s_at((x0 + near * width) / steps), s_at((x0 + far * width) / steps), h * width
+            yield s_at((x0 + near * width) / steps), s_at((x0 + far * width) / steps), h * width
+        else:
+            yield s_a, s_b, np.full(count, h)
 
 
 def _apply_steps(
@@ -330,15 +340,17 @@ def simulate_stage1(
     ground state.
 
     Under "local" all subsystems share the schedule built from the joint
-    integrand of `shapes`.  At T -> 0 the state has no time to move and the
-    fidelity per subsystem approaches its marked fraction M/N; fully marked
-    subsystems sit in an eigenstate the whole way and contribute fidelity 1.
+    integrand of `shapes`.  Subsystems of equal marked fraction share one
+    evolution, so the run costs one propagation per distinct fraction.  At
+    T -> 0 the state has no time to move and the fidelity per subsystem
+    approaches its marked fraction M/N; fully marked subsystems sit in an
+    eigenstate the whole way and contribute fidelity 1.
     """
     if not shapes:
         raise ValueError("at least one subsystem shape is required")
-    states = [(1.0 + 0.0j, 0.0j)] * len(shapes)
-    live = [i for i, shape in enumerate(shapes) if not shape.degenerate]
-    if config.total_time > 0.0 and live:
+    initial = (1.0 + 0.0j, 0.0j)
+    evolved = dict.fromkeys((shape.ratio for shape in shapes if not shape.degenerate), initial)
+    if config.total_time > 0.0 and evolved:
         s_at = _local_inverse(shapes) if config.schedule == "local" else (lambda q: q)
         for s_a, s_b, h in _stage1_steps(s_at, config.total_time, config.resolved_steps()):
             # each step is the half step at sigma_1, then the one at sigma_2
@@ -346,8 +358,9 @@ def simulate_stage1(
                 (_CF4_NEAR * s_a + _CF4_FAR * s_b, _CF4_FAR * s_a + _CF4_NEAR * s_b)
             ).ravel()
             dt = np.repeat(0.5 * h, 2)
-            for i in live:
-                states[i] = _apply_steps(states[i], shapes[i].ratio, s, dt)
+            for ratio, psi in evolved.items():
+                evolved[ratio] = _apply_steps(psi, ratio, s, dt)
+    states = [initial if shape.degenerate else evolved[shape.ratio] for shape in shapes]
     fidelities = tuple(
         abs(math.sqrt(shape.ratio) * c0 + math.sqrt(1.0 - shape.ratio) * c1) ** 2
         for shape, (c0, c1) in zip(shapes, states)

@@ -42,7 +42,7 @@ _X_GRID = np.linspace(0.02, 0.98, 101)
 _X_TOL = 1e-4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionModel:
     """Problem family: n variables, arity-k constraints at density alpha,
     partition fraction x on the first subsystem."""
@@ -63,7 +63,7 @@ class PartitionModel:
             raise ValueError(f"x must lie strictly inside (0, 1), got {self.x}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelEstimates:
     """log2 solution-count estimates, clamped at zero (one solution)."""
 
@@ -75,7 +75,7 @@ class ModelEstimates:
     clamped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScalingFit:
     """Least-squares slope of log2 total time against n, with the exact slope
     of the closed-form column for comparison."""

@@ -74,7 +74,7 @@ _V_MAX = 45.0
 _LIFT_HALF_EXP = 300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccuracyTarget:
     """Adiabatic accuracy parameter; smaller epsilon buys a slower, more
     faithful sweep.  Run times scale exactly as 1/epsilon."""

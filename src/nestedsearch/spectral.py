@@ -42,7 +42,7 @@ def _exp2(v: float) -> float:
     return 2.0**v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsystemShape:
     """A search subsystem: `dimension` basis states, `solutions` of them marked.
 
@@ -134,7 +134,7 @@ def _exp2_or_inf(v: float) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchedulePoint:
     """A point s in [0, 1] along the linear interpolation, with weights
     f = 1-s on the initial projector term and g = s on the final one."""
@@ -150,7 +150,7 @@ class SchedulePoint:
         object.__setattr__(self, "g", self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoLevelSpectrum:
     """Eigensystem of the restricted 2x2 Hamiltonian at one schedule point.
 

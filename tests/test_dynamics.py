@@ -38,11 +38,17 @@ from nestedsearch import (
     two_level_spectrum,
     verify_adiabatic_bound,
 )
+from nestedsearch import dynamics
 from nestedsearch.dynamics import (
+    _GAUSS_2,
+    _MAX_STEP_DS,
+    _NODE_CHUNK,
     MAX_STEPS,
     STAGE2_STEP_MULTIPLIER,
     STAGE2_STEP_TIME,
     _apply_steps,
+    _local_inverse,
+    _stage1_steps,
 )
 
 
@@ -113,6 +119,97 @@ def test_degenerate_shapes_keep_perfect_fidelity():
     report = simulate_stage1(shapes, EvolutionConfig(total_time=250.0))
     assert report.final_fidelity == 1.0
     assert report.per_subsystem_fidelity == (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "dims, distinct", [(((64, 1), (64, 1)), 1), (((16, 1), (64, 2)), 2)]
+)
+def test_each_distinct_ratio_evolves_once_per_chunk(monkeypatch, dims, distinct):
+    calls = []
+
+    def counting(psi, ratio, s, dt):
+        calls.append(ratio)
+        return _apply_steps(psi, ratio, s, dt)
+
+    monkeypatch.setattr(dynamics, "_apply_steps", counting)
+    config = EvolutionConfig(total_time=20.0)
+    chunks = math.ceil(config.resolved_steps() / _NODE_CHUNK)
+    simulate_stage1([SubsystemShape(n, m) for n, m in dims], config)
+    assert len(calls) == distinct * chunks
+
+
+@pytest.mark.parametrize("schedule", ["linear", "local"])
+def test_subsystems_of_one_ratio_share_their_fidelity(schedule):
+    # 2/128 and 1/64 are the same double
+    shapes = [SubsystemShape(64, 1), SubsystemShape(128, 2)]
+    report = simulate_stage1(shapes, EvolutionConfig(total_time=30.0, schedule=schedule))
+    first, second = report.per_subsystem_fidelity
+    assert first == second
+    assert 0.0 < first < 1.0
+
+
+@pytest.mark.parametrize("schedule", ["linear", "local"])
+def test_degenerate_shape_beside_a_live_ratio_of_one_keeps_fidelity_one(schedule):
+    # the live shape's ratio rounds to 1.0, the degenerate shape's is 1.0;
+    # at T = 3 the live state's norm drifts by rounding, so a degenerate
+    # shape handed that state would read 1 - 4e-13
+    live = SubsystemShape.from_log2(1e-17, 0)
+    assert live.ratio == 1.0 and not live.degenerate
+    shapes = [SubsystemShape(16, 16), live]
+    report = simulate_stage1(shapes, EvolutionConfig(total_time=3.0, schedule=schedule))
+    assert report.per_subsystem_fidelity[0] == 1.0
+
+
+def reference_stage1_steps(s_at, total_time, steps):
+    """_stage1_steps as written with one schedule call on the step edges
+    and one on each set of Gauss nodes, every chunk."""
+    h = total_time / steps
+    near, far = _GAUSS_2[0]
+    for k0 in range(0, steps, _NODE_CHUNK):
+        k1 = min(k0 + _NODE_CHUNK, steps)
+        x0 = np.arange(k0, k1 + 1.0)
+        parts = np.ceil(np.diff(s_at(x0 / steps)) / _MAX_STEP_DS)
+        x0 = x0[:-1]
+        width = np.ones(k1 - k0)
+        if parts.max() > 1.0:
+            parts = np.maximum(parts, 1.0).astype(np.int64)
+            width = np.repeat(1.0 / parts, parts)
+            offset = np.arange(width.size) - np.repeat(np.cumsum(parts) - parts, parts)
+            x0 = np.repeat(x0, parts) + offset * width
+        yield s_at((x0 + near * width) / steps), s_at((x0 + far * width) / steps), h * width
+
+
+@pytest.mark.parametrize("schedule", ["linear", "local"])
+def test_stage1_steps_match_per_node_set_schedule_calls(schedule):
+    # at epsilon 1 the local schedule splits its first and last chunks
+    shapes = [SubsystemShape(1024, 1), SubsystemShape(1024, 1)]
+    total = stage1_time(shapes, AccuracyTarget(1.0)).stage1_time
+    steps = EvolutionConfig(total_time=total).resolved_steps()
+    assert steps % _NODE_CHUNK != 0
+    s_at = _local_inverse(shapes) if schedule == "local" else (lambda q: q)
+    schedule_calls = []
+
+    def counted_s_at(q):
+        schedule_calls.append(q.size)
+        return s_at(q)
+
+    got = list(_stage1_steps(counted_s_at, total, steps))
+    want = list(reference_stage1_steps(s_at, total, steps))
+    assert len(got) == len(want) == math.ceil(steps / _NODE_CHUNK)
+    for chunk, expected in zip(got, want):
+        for values, reference in zip(chunk, expected):
+            np.testing.assert_allclose(values, reference, rtol=0.0, atol=1e-15)
+    lengths = [h.size for _, _, h in got]
+    split = [size > _NODE_CHUNK for size in lengths[:-1]]
+    if schedule == "local":
+        assert split[0] and not all(split)
+        assert lengths[-1] > steps % _NODE_CHUNK
+    else:
+        assert not any(split) and lengths[-1] == steps % _NODE_CHUNK
+    # an unsplit chunk costs one schedule call, a split one three
+    assert len(schedule_calls) == len(got) + 2 * (
+        sum(split) + (lengths[-1] > steps % _NODE_CHUNK)
+    )
 
 
 def test_deep_adiabatic_run_matches_ode_oracle():
